@@ -12,9 +12,9 @@ import sys
 
 import numpy as np
 
-from .combine import FitOptions, fit_moment
+from .combine import SCHEMES, FitOptions, fit_moment
 from .data import GroupedDataset
-from .ebayes import posterior_set, predict_mean
+from .ebayes import GroupPosterior, PosteriorSet, posterior_set, predict_grouped
 from .errors import HierMomentError, SingularOmega2Error, SingularOmegaError
 from .families import get_family
 from .simulate import run_study, study_table
@@ -26,12 +26,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 INTERCEPT = "(intercept)"
-
-_SCHEMES = {
-    "unweighted": "unweighted",
-    "weighted": "weighted",
-    "semiweighted": "semiweighted",
-}
 
 
 class _InputError(Exception):
@@ -52,10 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--fixed-cols", default="", help="comma-separated fixed-effect columns")
     fit.add_argument("--random-cols", default="", help="comma-separated random-effect columns (may overlap fixed)")
     fit.add_argument("--family", choices=["gaussian", "logit"], default="gaussian")
-    fit.add_argument("--weights", choices=sorted(_SCHEMES), default="semiweighted")
+    fit.add_argument("--weights", choices=SCHEMES, default="semiweighted")
     fit.add_argument("--refits", type=int, default=1, metavar="K")
     fit.add_argument("--rank-tol", type=float, default=None)
-    fit.add_argument("--threads", type=int, default=1)
     fit.add_argument("--no-intercept", action="store_true",
                      help="do not auto-add an intercept column to X and Z")
     fit.add_argument("--out", required=True, help="fit artifact path")
@@ -78,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--q", type=int, default=3)
     sim.add_argument("--replicates", type=int, default=5)
     sim.add_argument("--methods", default="hier,global,local")
-    sim.add_argument("--weights", choices=sorted(_SCHEMES), default="semiweighted")
+    sim.add_argument("--weights", choices=SCHEMES, default="semiweighted")
     sim.add_argument("--refits", type=int, default=1, metavar="K")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="study table path (TSV)")
@@ -211,11 +204,13 @@ def _read_fit_artifact(path):
             fields[key] = value
     if fields.get("format") != "hiermoment-fit 1":
         raise _InputError(f"{path}: not a hiermoment fit artifact")
+    for key in ("family", "group_col", "fixed_cols", "random_cols", "beta"):
+        if key not in fields:
+            raise _InputError(f"{path}: artifact has no {key!r} line")
     fixed_names = fields["fixed_cols"].split(",")
     random_names = fields["random_cols"].split(",")
-    p, q = len(fixed_names), len(random_names)
     beta = _parse_floats(fields["beta"])
-    if beta.shape != (p,):
+    if beta.shape != (len(fixed_names),):
         raise _InputError(f"{path}: beta length does not match fixed_cols")
     return {
         "family": fields["family"],
@@ -223,8 +218,6 @@ def _read_fit_artifact(path):
         "fixed_names": fixed_names,
         "random_names": random_names,
         "beta": beta,
-        "sigma": _parse_floats(fields["sigma"]).reshape(q, q),
-        "phi": float(fields["phi"]),
     }
 
 
@@ -243,17 +236,21 @@ def _write_posteriors(path, posteriors):
             writer.writerow(row)
 
 
-def _read_posteriors(path, q):
+def _read_posteriors(path, q) -> PosteriorSet:
     header, rows = _read_table(path)
     want = 1 + q + q * q
     if len(header) != want:
         raise _InputError(
             f"{path}: expected {want} columns for q={q}, got {len(header)}"
         )
-    means = {}
-    for row in rows:
-        means[row[0]] = np.array([float(v) for v in row[1 : 1 + q]])
-    return means
+    values = np.empty((len(rows), want - 1))
+    for j, col in enumerate(header[1:]):
+        values[:, j] = _numeric_column(path, header, rows, col)
+    entries = tuple(
+        GroupPosterior(group_id=row[0], mean=v[:q], cov=v[q:].reshape(q, q))
+        for row, v in zip(rows, values)
+    )
+    return PosteriorSet(entries=entries, q=q)
 
 
 def _cmd_fit(args) -> int:
@@ -267,10 +264,7 @@ def _cmd_fit(args) -> int:
     ids = [row[gidx] for row in rows]
     dataset = GroupedDataset.from_long(y, X, Z, ids)
     options = FitOptions(
-        scheme=_SCHEMES[args.weights],
-        refits=args.refits,
-        rank_tol=args.rank_tol,
-        threads=args.threads,
+        scheme=args.weights, refits=args.refits, rank_tol=args.rank_tol
     )
     fit = fit_moment(dataset, family, options)
     _write_fit_artifact(args.out, args, fit, fixed_names, random_names)
@@ -289,9 +283,9 @@ def _cmd_predict(args) -> int:
     model = _read_fit_artifact(args.model)
     family = get_family(model["family"])
     q = len(model["random_names"])
-    post_means = {}
+    posteriors = PosteriorSet(entries=(), q=q)
     if args.posteriors:
-        post_means = _read_posteriors(args.posteriors, q)
+        posteriors = _read_posteriors(args.posteriors, q)
 
     header, rows = _read_table(args.input)
     if model["group_col"] not in header:
@@ -305,27 +299,18 @@ def _cmd_predict(args) -> int:
     gidx = header.index(model["group_col"])
     ids = np.array([row[gidx] for row in rows])
 
-    uniq, inverse = np.unique(ids, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=uniq.shape[0])
-    bounds = np.cumsum(counts)[:-1]
-    Xs, Zs = np.ascontiguousarray(X)[order], np.ascontiguousarray(Z)[order]
     mu = np.empty(len(rows))
-    unseen = np.zeros(len(rows), dtype=bool)
-    zero = np.zeros(q)
-    for gid, rows_g, Xg, Zg in zip(
-        uniq,
-        np.split(order, bounds),
-        np.split(Xs, bounds),
-        np.split(Zs, bounds),
-    ):
-        u = post_means.get(str(gid))
-        if u is None:
-            u, flag = zero, True
-        else:
-            flag = False
-        mu[rows_g] = predict_mean(Xg, Zg, model["beta"], u, family)
-        unseen[rows_g] = flag
+    unseen = np.empty(len(rows), dtype=bool)
+    if rows:
+        # The response is not read; zeros stand in for it.
+        dataset = GroupedDataset.from_long(np.zeros(len(rows)), X, Z, ids)
+        mu_g, unseen_g = predict_grouped(dataset, model["beta"], posteriors,
+                                         family)
+        # Groups come back in ascending id order, rows in input order within
+        # each group.
+        order = np.argsort(ids, kind="stable")
+        mu[order] = np.concatenate(mu_g)
+        unseen[order] = np.repeat(unseen_g, [g.n for g in dataset.groups])
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -348,7 +333,7 @@ def _cmd_simulate(args) -> int:
     for m in methods:
         if m not in ("hier", "global", "local"):
             raise _InputError(f"--methods: unknown method {m!r}")
-    options = FitOptions(scheme=_SCHEMES[args.weights], refits=args.refits)
+    options = FitOptions(scheme=args.weights, refits=args.refits)
     rows = run_study(
         n_grid, args.M, args.p, args.q, args.replicates, family,
         methods=methods, seed=args.seed, options=options,

@@ -16,6 +16,8 @@ from .linalg import SymKronOperator, eigen_floor, psd_project, sym_sqrt
 
 __all__ = [
     "EPS_SING",
+    "REFIT_FLOOR",
+    "SCHEMES",
     "WeightSpec",
     "ScaleRecord",
     "MomentFit",
@@ -36,6 +38,13 @@ __all__ = [
 # singular (identifiability failure) rather than inverted.
 EPS_SING = 1e-12
 
+# Eigenvalue floor for the covariance guess of each semi-weighted refit. The
+# first semi-weighted pass starts from the identity, which suits predictors
+# standardized to unit RMS.
+REFIT_FLOOR = 1e-8
+
+SCHEMES = ("semiweighted", "unweighted", "weighted")
+
 
 def _sym(A):
     return (A + A.T) / 2.0
@@ -49,16 +58,14 @@ def _inv_pd(P):
 class WeightSpec:
     """Weight-scheme selector.
 
-    Schemes: ``unweighted`` (identity), ``weighted`` (group precision),
-    ``semi_weighted`` (prior covariance guess ``sigma0``), and ``optimal``
-    (true covariance and dispersion; equals semi-weighted at
-    ``sigma0 = sigma / phi``).
+    Schemes: ``unweighted`` (identity), ``weighted`` (group precision), and
+    ``semiweighted`` (prior covariance guess ``sigma0``). The optimal weights
+    for a true covariance and dispersion are semi-weighted at
+    ``sigma0 = sigma / phi``.
     """
 
     scheme: str
     sigma0: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    phi: float | None = None
 
     @classmethod
     def unweighted(cls) -> "WeightSpec":
@@ -75,14 +82,14 @@ class WeightSpec:
             raise ValueError("sigma0 must be symmetric")
         if np.linalg.eigvalsh(_sym(sigma0))[0] <= 0.0:
             raise ValueError("sigma0 must be positive definite")
-        return cls(scheme="semi_weighted", sigma0=_sym(sigma0))
+        return cls(scheme="semiweighted", sigma0=_sym(sigma0))
 
     @classmethod
     def optimal(cls, sigma: np.ndarray, phi: float) -> "WeightSpec":
         if phi <= 0.0:
             raise ValueError("optimal weights need phi > 0")
         sigma = np.asarray(sigma, dtype=float)
-        return cls(scheme="optimal", sigma=_sym(sigma), phi=float(phi))
+        return cls(scheme="semiweighted", sigma0=_sym(sigma) / float(phi))
 
 
 def make_weights(summary_set: SummarySet, spec: WeightSpec) -> list[np.ndarray]:
@@ -96,14 +103,10 @@ def make_weights(summary_set: SummarySet, spec: WeightSpec) -> list[np.ndarray]:
         for s in summary_set.summaries:
             out.append(s.precision.copy())
         return out
-    if spec.scheme == "semi_weighted":
-        sigma0 = spec.sigma0
-    elif spec.scheme == "optimal":
-        sigma0 = spec.sigma / spec.phi
-    else:
+    if spec.scheme != "semiweighted":
         raise ValueError(f"unknown weight scheme {spec.scheme!r}")
     for s in summary_set.summaries:
-        mid = s.V2.T @ sigma0 @ s.V2 + _inv_pd(s.precision)
+        mid = s.V2.T @ spec.sigma0 @ s.V2 + _inv_pd(s.precision)
         out.append(_inv_pd(_sym(mid)))
     return out
 
@@ -272,19 +275,26 @@ def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
 class FitOptions:
     """Options for :func:`fit_moment`.
 
-    scheme: "semiweighted" (two-step default), "unweighted", or "weighted".
-    refits: number of semi-weighted refits after the initial pass.
-    sigma0_init: initial covariance guess for the semi-weighted scheme
-        (identity by default, appropriate after standardization).
-    eps_floor: eigenvalue floor applied to refit covariance guesses.
+    scheme: "semiweighted" (default: an identity covariance guess, then
+        ``refits`` passes with the estimated covariance), "unweighted", or
+        "weighted" (single pass each).
+    refits: number of semi-weighted refits after the initial pass, >= 0.
+    rank_tol: relative SVD rank threshold for group designs (see
+        :func:`hiermoment.linalg.compact_svd`).
     """
 
     scheme: str = "semiweighted"
     refits: int = 1
     rank_tol: float | None = None
-    sigma0_init: np.ndarray | None = None
-    eps_floor: float = 1e-8
-    threads: int = 1
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(
+                f"unknown scheme {self.scheme!r}; expected one of "
+                + ", ".join(SCHEMES)
+            )
+        if self.refits < 0:
+            raise ValueError(f"refits must be >= 0, got {self.refits}")
 
 
 @dataclass(frozen=True)
@@ -327,26 +337,16 @@ def fit_moment(
     """
     opts = options or FitOptions()
     scaled, record = standardize(dataset)
-    sset = build_summary_set(scaled, family, rank_tol=opts.rank_tol,
-                             threads=opts.threads)
+    sset = build_summary_set(scaled, family, rank_tol=opts.rank_tol)
     phi = sset.pooled_dispersion
-    q = sset.q
 
     if opts.scheme == "semiweighted":
-        sigma0 = np.eye(q) if opts.sigma0_init is None else np.asarray(
-            opts.sigma0_init, dtype=float)
-        spec = WeightSpec.semi_weighted(sigma0)
+        spec = WeightSpec.semi_weighted(np.eye(sset.q))
         n_refits = int(opts.refits)
-    elif opts.scheme == "unweighted":
-        spec = WeightSpec.unweighted()
-        n_refits = 0  # weights do not depend on the covariance estimate
-    elif opts.scheme == "weighted":
-        spec = WeightSpec.weighted()
-        n_refits = 0
     else:
-        raise ValueError(f"unknown scheme {opts.scheme!r}")
+        spec = WeightSpec(scheme=opts.scheme)
+        n_refits = 0  # weights do not depend on the covariance estimate
 
-    steps = 0
     for step in range(n_refits + 1):
         weights = make_weights(sset, spec)
         beta, omega = fixed_effects(sset, weights)
@@ -355,9 +355,8 @@ def fit_moment(
             sset, weights, beta, phi, operator=operator, bias=bias
         )
         if step < n_refits:
-            sigma0 = eigen_floor(sigma / max(phi, 1e-12), opts.eps_floor)
+            sigma0 = eigen_floor(sigma / max(phi, 1e-12), REFIT_FLOOR)
             spec = WeightSpec.semi_weighted(sigma0)
-            steps += 1
 
     xs, zs = record.x_scale, record.z_scale
     zz = np.outer(zs, zs)
@@ -371,7 +370,7 @@ def fit_moment(
         rho=sset.rho,
         bias_B=bias / zz,
         projected=projected,
-        steps=steps,
+        steps=n_refits,
         scale_record=record,
         summary_set=sset,
         beta_scaled=beta,
@@ -420,10 +419,6 @@ def kappa_bound(
             np.linalg.norm(s.precision, 2) for s in summary_set.summaries
         )
         return float(sig_norm * worst + phi)
-    if spec.scheme == "semi_weighted":
-        sigma0 = spec.sigma0
-    elif spec.scheme == "optimal":
-        sigma0 = spec.sigma / spec.phi
-    else:
+    if spec.scheme != "semiweighted":
         raise ValueError(f"unknown weight scheme {spec.scheme!r}")
-    return float(np.linalg.norm(np.linalg.solve(sigma0, sigma), 2) + phi)
+    return float(np.linalg.norm(np.linalg.solve(spec.sigma0, sigma), 2) + phi)

@@ -2,13 +2,12 @@
 
 Each group's raw data (y_i, X_i, Z_i) collapses to an orthonormal basis of the
 identifiable coefficient subspace, a rotated coefficient estimate, and an
-unscaled precision matrix. Groups are independent, so summarization is a
-parallel map; the collected set is ordered by group id for reproducibility.
+unscaled precision matrix. Groups are independent and are summarized one
+after another; the collected set is ordered by group id for reproducibility.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -148,13 +147,12 @@ def build_summary_set(
     dataset: GroupedDataset,
     family: Family,
     rank_tol: float | None = None,
-    threads: int = 1,
 ) -> SummarySet:
     """Summarize every group and pool dispersion.
 
     Groups whose fit fails are recorded in ``skipped`` (with the reason) and
-    excluded from all downstream sums. Output is identical for any thread
-    count: summaries are keyed to their group and sorted by group id.
+    excluded from all downstream sums. Summaries and skips are sorted by
+    group id, so the output does not depend on the order of the groups.
     """
     def _one(g):
         try:
@@ -164,12 +162,7 @@ def build_summary_set(
         except (ZeroRankError, ConvergenceError, DegeneratePrecisionError) as e:
             return None, (g.group_id, str(e))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_one, dataset.groups))
-    else:
-        results = [_one(g) for g in dataset.groups]
-
+    results = [_one(g) for g in dataset.groups]
     summaries = [s for s, _ in results if s is not None]
     skipped = [err for _, err in results if err is not None]
     summaries.sort(key=lambda s: s.group_id)

@@ -17,7 +17,6 @@ __all__ = [
     "SymKronOperator",
     "compact_svd",
     "psd_project",
-    "solve_sym",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -102,10 +101,10 @@ def psd_project(S: np.ndarray) -> np.ndarray:
 class SymBasis:
     """Coordinates for symmetric q x q matrices.
 
-    ``svec``/``smat`` pack and unpack the upper triangle (row-major) without
-    scaling, so the round trip is exact. The scaled variants multiply
-    off-diagonal coordinates by sqrt(2), giving an orthonormal basis in which
-    self-adjoint operators have symmetric reduced matrices.
+    ``svec_scaled``/``smat_scaled`` pack and unpack the upper triangle
+    (row-major) with off-diagonal coordinates multiplied by sqrt(2), giving
+    an orthonormal basis in which self-adjoint operators have symmetric
+    reduced matrices.
     """
 
     def __init__(self, q: int):
@@ -116,24 +115,19 @@ class SymBasis:
         self._rows, self._cols = np.triu_indices(self.q)
         self._scale = np.where(self._rows == self._cols, 1.0, _SQRT2)
 
-    def svec(self, S: np.ndarray) -> np.ndarray:
+    def svec_scaled(self, S: np.ndarray) -> np.ndarray:
         S = np.asarray(S, dtype=float)
-        return S[self._rows, self._cols].copy()
+        return S[self._rows, self._cols] * self._scale
 
-    def smat(self, s: np.ndarray) -> np.ndarray:
+    def smat_scaled(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if s.shape != (self.dim,):
             raise ValueError(f"expected coordinate vector of length {self.dim}")
+        s = s / self._scale
         S = np.zeros((self.q, self.q))
         S[self._rows, self._cols] = s
         S[self._cols, self._rows] = s
         return S
-
-    def svec_scaled(self, S: np.ndarray) -> np.ndarray:
-        return self.svec(S) * self._scale
-
-    def smat_scaled(self, s: np.ndarray) -> np.ndarray:
-        return self.smat(np.asarray(s, dtype=float) / self._scale)
 
     def reduced_kron_self(self, A: np.ndarray) -> np.ndarray:
         """Matrix of ``S -> A @ S @ A`` (A symmetric) in scaled coordinates.
@@ -165,10 +159,6 @@ class SymKronOperator:
         self.matrix += self.basis.reduced_kron_self(A)
         self._eig = None
 
-    def apply(self, S: np.ndarray) -> np.ndarray:
-        out = self.matrix @ self.basis.svec_scaled(S)
-        return self.basis.smat_scaled(out)
-
     def _eigh(self):
         if self._eig is None:
             self._eig = np.linalg.eigh((self.matrix + self.matrix.T) / 2.0)
@@ -193,33 +183,6 @@ class SymKronOperator:
         b = self.basis.svec_scaled(np.asarray(rhs, dtype=float))
         s = Q @ ((Q.T @ b) / w)
         return self.basis.smat_scaled(s)
-
-
-def solve_sym(
-    terms, rhs: np.ndarray, eps_sing: float = 1e-12
-) -> np.ndarray:
-    """Solve ``(sum_i A_i (x) A_i) vec(S) = vec(rhs)`` over symmetric S.
-
-    Parameters
-    ----------
-    terms : iterable of ndarray
-        Symmetric q x q matrices ``A_i`` defining the operator.
-    rhs : ndarray of shape (q, q)
-        Symmetric right-hand side.
-    eps_sing : float
-        Relative condition threshold; beyond ``1/eps_sing`` the reduced
-        system is declared singular.
-
-    Returns
-    -------
-    ndarray of shape (q, q)
-        Symmetric solution.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    op = SymKronOperator(rhs.shape[0])
-    for A in terms:
-        op.add(A)
-    return op.solve(rhs, eps_sing=eps_sing)
 
 
 def sym_sqrt(S: np.ndarray) -> np.ndarray:

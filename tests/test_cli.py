@@ -89,8 +89,9 @@ class TestFitCommand:
         assert abs(means["b"]) < 1e-8
         assert means["c"] > 0.1
 
-    def test_thread_count_does_not_change_artifact(self, tmp_path):
-        src = tmp_path / "data.csv"
+    def test_row_order_does_not_change_artifact(self, tmp_path):
+        """Interleaving the groups' rows differently gives the same artifact
+        text (rows within each group keep their order)."""
         rng = np.random.default_rng(71)
         rows = []
         for gid in range(6):
@@ -99,14 +100,28 @@ class TestFitCommand:
                 yv = rng.normal()
                 rows.append([f"g{gid}", repr(float(x)), repr(float(z)),
                              repr(float(yv))])
+        src, shuffled = tmp_path / "data.csv", tmp_path / "shuffled.csv"
         _write_csv(src, ["g", "x", "z", "y"], rows)
-        args = ["fit", "--input", str(src), "--group-col", "g",
-                "--response-col", "y", "--fixed-cols", "x",
-                "--random-cols", "z"]
-        out1, out4 = tmp_path / "t1.txt", tmp_path / "t4.txt"
-        assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-        assert main(args + ["--threads", "4", "--out", str(out4)]) == 0
-        assert out1.read_text() == out4.read_text()
+        labels = rng.permutation([r[0] for r in rows])
+        queues = {g: iter([r for r in rows if r[0] == g]) for g in labels}
+        _write_csv(shuffled, ["g", "x", "z", "y"],
+                   [next(queues[g]) for g in labels])
+        outs = []
+        for path in (src, shuffled):
+            outs.append(tmp_path / f"{path.stem}.txt")
+            assert main(["fit", "--input", str(path), "--group-col", "g",
+                         "--response-col", "y", "--fixed-cols", "x",
+                         "--random-cols", "z", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
+    def test_negative_refits_rejected(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        _oneway_csv(src)
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--refits", "-1",
+                   "--out", str(tmp_path / "fit.txt")])
+        assert rc == 2
+        assert "refits" in capsys.readouterr().err
 
     def test_logit_separated_group_stays_finite(self, tmp_path):
         src = tmp_path / "data.csv"
@@ -293,6 +308,32 @@ class TestErrorPaths:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "not a hiermoment fit artifact" in capsys.readouterr().err
+
+    def test_truncated_model_file_rejected(self, tmp_path, capsys):
+        model = tmp_path / "m.txt"
+        model.write_text("format: hiermoment-fit 1\nfamily: gaussian\n")
+        src = tmp_path / "d.csv"
+        src.write_text("g,y\na,1.0\n")
+        rc = main(["predict", "--model", str(model), "--input", str(src),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "group_col" in err
+
+    def test_unparseable_posterior_reports_line(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        model = tmp_path / "fit.txt"
+        _oneway_csv(src)
+        assert main(["fit", "--input", str(src), "--group-col", "g",
+                     "--response-col", "y", "--out", str(model)]) == 0
+        posts = tmp_path / "post.csv"
+        posts.write_text("group_id,mean_0,cov_0_0\na,0.5,0.1\nb,oops,0.1\n")
+        rc = main(["predict", "--model", str(model), "--posteriors",
+                   str(posts), "--input", str(src),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(posts) in err and "line 3" in err and "oops" in err
 
     def test_aliased_design_exits_3_with_hint(self, tmp_path, capsys):
         rng = np.random.default_rng(97)

@@ -367,6 +367,12 @@ class TestFitMoment:
         assert fit0.steps == 0
         assert not np.array_equal(fit.beta, fit0.beta)
 
+    def test_options_validation(self):
+        with pytest.raises(ValueError, match="refits"):
+            FitOptions(refits=-1)
+        with pytest.raises(ValueError, match="scheme"):
+            FitOptions(scheme="semi_weighted")
+
     def test_group_permutation_bitwise_identical(self):
         rng = np.random.default_rng(23)
         ds, _ = random_dataset(rng, M=10)

@@ -237,15 +237,6 @@ class TestBuildSummarySet:
         assert sset.skipped[0][0] == 1
         assert "rank 0" in sset.skipped[0][1]
 
-    def test_thread_count_invariance(self):
-        rng = np.random.default_rng(31)
-        y, X, Z, ids = _random_dataset(rng, M=16)
-        ds = GroupedDataset.from_long(y, X, Z, ids)
-        _assert_same_set(
-            build_summary_set(ds, GAUSSIAN, threads=1),
-            build_summary_set(ds, GAUSSIAN, threads=4),
-        )
-
     def test_input_block_order_invariance(self):
         """Groups presented in a different long-format order give bitwise
         identical summaries (rows within each group keep their order)."""

@@ -19,7 +19,6 @@ from hiermoment.linalg import (
     compact_svd,
     eigen_floor,
     psd_project,
-    solve_sym,
     sym_sqrt,
 )
 
@@ -149,20 +148,6 @@ class TestPsdProject:
 
 
 class TestSymBasis:
-    def test_svec_order(self):
-        # upper triangle, row-major
-        basis = SymBasis(2)
-        S = np.array([[1.0, 2.0], [2.0, 3.0]])
-        np.testing.assert_array_equal(basis.svec(S), [1.0, 2.0, 3.0])
-
-    def test_roundtrip_exact(self):
-        rng = np.random.default_rng(21)
-        for q in [1, 2, 4]:
-            basis = SymBasis(q)
-            S = rng.normal(size=(q, q))
-            S = S + S.T
-            assert np.array_equal(basis.smat(basis.svec(S)), S)
-
     def test_scaled_coordinates(self):
         basis = SymBasis(2)
         S = np.array([[1.0, 2.0], [2.0, 3.0]])
@@ -202,50 +187,59 @@ class TestSymBasis:
             np.testing.assert_allclose(R, ref, atol=1e-12)
 
 
+def _operator(terms):
+    op = SymKronOperator(terms[0].shape[0])
+    for A in terms:
+        op.add(A)
+    return op
+
+
 class TestSymKronSolve:
     def test_identity_operator(self):
         rng = np.random.default_rng(31)
         R = rng.normal(size=(3, 3))
         R = R + R.T
-        np.testing.assert_allclose(solve_sym([np.eye(3)], R), R, atol=1e-12)
+        # the direct sum I S I is S itself
+        S = _operator([np.eye(3)]).solve(R)
+        np.testing.assert_allclose(S, R, atol=1e-12)
 
     def test_two_term_hand_case(self):
         # terms I and diag(1,0); with rhs = I the (1,1) entry is hit twice:
         # 2 s11 = 1, s22 = 1, s12 = 0.
         terms = [np.eye(2), np.diag([1.0, 0.0])]
-        S = solve_sym(terms, np.eye(2))
+        S = _operator(terms).solve(np.eye(2))
         np.testing.assert_allclose(S, np.diag([0.5, 1.0]), atol=1e-14)
+        direct = sum(A @ S @ A for A in terms)
+        np.testing.assert_allclose(direct, np.eye(2), atol=1e-14)
 
     def test_solve_then_apply(self):
         rng = np.random.default_rng(37)
         q = 4
-        op = SymKronOperator(q)
         terms = []
         for _ in range(5):
             A = rng.normal(size=(q, q))
-            A = A @ A.T + 0.1 * np.eye(q)
-            terms.append(A)
-            op.add(A)
+            terms.append(A @ A.T + 0.1 * np.eye(q))
         R = rng.normal(size=(q, q))
         R = R + R.T
-        S = op.solve(R)
+        S = _operator(terms).solve(R)
         np.testing.assert_allclose(S, S.T, atol=1e-12)
-        np.testing.assert_allclose(op.apply(S), R, atol=1e-8 * np.abs(R).max())
+        direct = sum(A @ S @ A for A in terms)
+        np.testing.assert_allclose(direct, R, atol=1e-8 * np.abs(R).max())
 
     def test_apply_matches_direct_sum(self):
+        """The reduced matrix applied in scaled coordinates is the operator."""
         rng = np.random.default_rng(41)
         q = 3
-        op = SymKronOperator(q)
         terms = []
         for _ in range(3):
             A = rng.normal(size=(q, q))
-            A = (A + A.T) / 2
-            terms.append(A)
-            op.add(A)
+            terms.append((A + A.T) / 2)
+        op = _operator(terms)
         S = rng.normal(size=(q, q))
         S = S + S.T
+        applied = op.basis.smat_scaled(op.matrix @ op.basis.svec_scaled(S))
         direct = sum(A @ S @ A for A in terms)
-        np.testing.assert_allclose(op.apply(S), direct, atol=1e-12)
+        np.testing.assert_allclose(applied, direct, atol=1e-12)
 
     def test_matches_full_kronecker(self):
         """The reduced solve agrees with the explicit q^2 x q^2 system."""
@@ -260,7 +254,7 @@ class TestSymKronSolve:
             K += np.kron(A, A)
         R = rng.normal(size=(q, q))
         R = R + R.T
-        S = solve_sym(terms, R)
+        S = _operator(terms).solve(R)
         full = np.linalg.solve(K, R.ravel()).reshape(q, q)
         np.testing.assert_allclose(S, full, atol=1e-10)
 
@@ -279,7 +273,7 @@ class TestSymKronSolve:
 
     def test_singular_operator_raises(self):
         with pytest.raises(SingularOmega2Error):
-            solve_sym([np.diag([1.0, 0.0])], np.eye(2))
+            _operator([np.diag([1.0, 0.0])]).solve(np.eye(2))
 
 
 class TestSqrtAndFloor:
