@@ -12,7 +12,7 @@ from .data import GroupData, GroupedDataset
 from .errors import SingularOmegaError
 from .families import Family
 from .groups import SummarySet, build_summary_set
-from .linalg import SymKronOperator, eigen_floor, psd_project, sym_sqrt
+from .linalg import SymKronOperator, eigen_floor, psd_project, sym, sym_sqrt
 
 __all__ = [
     "EPS_SING",
@@ -46,14 +46,6 @@ REFIT_FLOOR = 1e-8
 SCHEMES = ("semiweighted", "unweighted", "weighted")
 
 
-def _sym(A):
-    return (A + A.T) / 2.0
-
-
-def _inv_pd(P):
-    return _sym(np.linalg.inv(P))
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Weight-scheme selector.
@@ -80,45 +72,46 @@ class WeightSpec:
         sigma0 = np.asarray(sigma0, dtype=float)
         if not np.allclose(sigma0, sigma0.T, atol=1e-10):
             raise ValueError("sigma0 must be symmetric")
-        if np.linalg.eigvalsh(_sym(sigma0))[0] <= 0.0:
+        if np.linalg.eigvalsh(sym(sigma0))[0] <= 0.0:
             raise ValueError("sigma0 must be positive definite")
-        return cls(scheme="semiweighted", sigma0=_sym(sigma0))
+        return cls(scheme="semiweighted", sigma0=sym(sigma0))
 
     @classmethod
     def optimal(cls, sigma: np.ndarray, phi: float) -> "WeightSpec":
         if phi <= 0.0:
             raise ValueError("optimal weights need phi > 0")
         sigma = np.asarray(sigma, dtype=float)
-        return cls(scheme="semiweighted", sigma0=_sym(sigma) / float(phi))
+        return cls(scheme="semiweighted", sigma0=sym(sigma) / float(phi))
 
 
-def make_weights(summary_set: SummarySet, spec: WeightSpec) -> list[np.ndarray]:
-    """Realize per-group symmetric PD weight matrices for a scheme."""
-    out = []
+def make_weights(summary_set: SummarySet, spec: WeightSpec) -> np.ndarray:
+    """Realize the symmetric PD weight matrix of every group for a scheme.
+
+    Returns an ``(M, k, k)`` stack, k = p + q, laid out like
+    ``summary_set.precision``: group i's weights are the leading
+    ``r_i x r_i`` block and the padded block is the identity.
+    """
     if spec.scheme == "unweighted":
-        for s in summary_set.summaries:
-            out.append(np.eye(s.r))
-        return out
+        return np.tile(np.eye(summary_set.p + summary_set.q),
+                       (len(summary_set.summaries), 1, 1))
     if spec.scheme == "weighted":
-        for s in summary_set.summaries:
-            out.append(s.precision.copy())
-        return out
+        return summary_set.precision.copy()
     if spec.scheme != "semiweighted":
         raise ValueError(f"unknown weight scheme {spec.scheme!r}")
-    for s in summary_set.summaries:
-        mid = s.V2.T @ spec.sigma0 @ s.V2 + _inv_pd(s.precision)
-        out.append(_inv_pd(_sym(mid)))
-    return out
+    V2 = summary_set.V2
+    # One expression, so no more than two (M, k, k) arrays are alive at once.
+    return sym(np.linalg.inv(sym(
+        V2.swapaxes(1, 2) @ spec.sigma0 @ V2 + summary_set.precision_inv)))
 
 
 def fixed_effects(
-    summary_set: SummarySet, weights: list[np.ndarray]
+    summary_set: SummarySet, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted moment estimator of the fixed effects.
 
     Returns ``(beta, omega)`` where ``omega = sum_i V1_i W_i V1_i'`` and
-    ``beta = omega^{-1} sum_i V1_i W_i theta_rot_i``. Accumulation follows
-    the summary order (ascending group id) for bitwise reproducibility.
+    ``beta = omega^{-1} sum_i V1_i W_i theta_rot_i``, summed over the
+    padded stacks in summary order (ascending group id).
 
     Raises
     ------
@@ -126,14 +119,9 @@ def fixed_effects(
         ``omega`` condition exceeds 1/EPS_SING; some fixed-effect direction
         is not identified.
     """
-    p = summary_set.p
-    omega = np.zeros((p, p))
-    rhs = np.zeros(p)
-    for s, W in zip(summary_set.summaries, weights):
-        V1W = s.V1 @ W
-        omega += V1W @ s.V1.T
-        rhs += V1W @ s.theta_rot
-    omega = _sym(omega)
+    V1W = summary_set.V1 @ weights
+    omega = sym(np.einsum("mpk,mqk->pq", V1W, summary_set.V1))
+    rhs = np.einsum("mpk,mk->p", V1W, summary_set.theta)
     w, Q = np.linalg.eigh(omega)
     if w[-1] <= 0.0 or w[0] <= EPS_SING * w[-1]:
         raise SingularOmegaError(
@@ -148,20 +136,16 @@ def fixed_effects(
 
 
 def ahat(
-    summary_set: SummarySet, weights: list[np.ndarray], b: np.ndarray
+    summary_set: SummarySet, weights: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """Weighted outer-product statistic of group deviations from ``b``."""
-    q = summary_set.q
-    A = np.zeros((q, q))
-    for s, W in zip(summary_set.summaries, weights):
-        resid = s.theta_rot - s.V1.T @ b
-        a = s.V2 @ (W @ resid)
-        A += np.outer(a, a)
-    return _sym(A)
+    resid = summary_set.theta - np.einsum("mpk,p->mk", summary_set.V1, b)
+    a = np.einsum("mqk,mkl,ml->mq", summary_set.V2, weights, resid)
+    return sym(a.T @ a)
 
 
 def omega2_and_bias(
-    summary_set: SummarySet, weights: list[np.ndarray]
+    summary_set: SummarySet, weights: np.ndarray
 ) -> tuple[SymKronOperator, np.ndarray]:
     """Assemble the symmetric-space Gram operator and the noise-bias matrix.
 
@@ -169,20 +153,16 @@ def omega2_and_bias(
     ``A_i = V2_i W_i V2_i'`` (reduced basis only) and ``B`` solving
     ``operator(B) = sum_i V2_i W_i D_i^{-2} W_i V2_i'``.
     """
-    q = summary_set.q
-    op = SymKronOperator(q)
-    rhs = np.zeros((q, q))
-    for s, W in zip(summary_set.summaries, weights):
-        V2W = s.V2 @ W
-        op.add(_sym(V2W @ s.V2.T))
-        rhs += V2W @ _inv_pd(s.precision) @ V2W.T
-    B = op.solve(_sym(rhs), eps_sing=EPS_SING)
+    V2W = summary_set.V2 @ weights
+    op = SymKronOperator(sym(V2W @ summary_set.V2.swapaxes(1, 2)))
+    rhs = np.einsum("mqk,mrk->qr", V2W @ summary_set.precision_inv, V2W)
+    B = op.solve(sym(rhs), eps_sing=EPS_SING)
     return op, B
 
 
 def shat(
     summary_set: SummarySet,
-    weights: list[np.ndarray],
+    weights: np.ndarray,
     b: np.ndarray,
     operator: SymKronOperator | None = None,
 ) -> np.ndarray:
@@ -197,7 +177,7 @@ def shat(
 
 def sigma_hat(
     summary_set: SummarySet,
-    weights: list[np.ndarray],
+    weights: np.ndarray,
     beta: np.ndarray,
     phi: float,
     operator: SymKronOperator | None = None,
@@ -211,7 +191,7 @@ def sigma_hat(
     if operator is None or bias is None:
         operator, bias = omega2_and_bias(summary_set, weights)
     S = shat(summary_set, weights, beta, operator=operator)
-    sigma_raw = _sym(S - phi * bias)
+    sigma_raw = sym(S - phi * bias)
     sigma = psd_project(sigma_raw)
     projected = not np.array_equal(sigma, sigma_raw)
     return sigma_raw, sigma, projected
@@ -239,21 +219,17 @@ def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
     estimates (divide beta by the X scales; congruence-transform covariance
     estimates by the inverse Z scales).
     """
-    p, q = dataset.p, dataset.q
 
     def _column_scales(blocks):
-        k = blocks[0].shape[1]
-        stacked_sq = np.zeros(k)
-        lo = np.full(k, np.inf)
-        hi = np.full(k, -np.inf)
-        n = 0
-        for M in blocks:
-            stacked_sq += np.sum(M * M, axis=0)
-            lo = np.minimum(lo, M.min(axis=0))
-            hi = np.maximum(hi, M.max(axis=0))
-            n += M.shape[0]
+        F = np.concatenate(blocks)
+        lo, hi = F.min(axis=0), F.max(axis=0)
+        # Square each column over its largest magnitude, so the sum of
+        # squares neither overflows nor underflows at extreme scales.
+        amax = np.maximum(np.abs(lo), np.abs(hi))
+        unit = np.where(amax > 0.0, amax, 1.0)
+        F /= unit
+        rms = unit * np.sqrt(np.einsum("ij,ij->j", F, F) / F.shape[0])
         constant = lo == hi
-        rms = np.sqrt(stacked_sq / n)
         scale = np.where(constant, 1.0, rms)
         zero = constant & (lo == 0.0)
         return scale, zero
@@ -268,7 +244,7 @@ def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
         GroupData(group_id=g.group_id, y=g.y, X=g.X / x_scale, Z=g.Z / z_scale)
         for g in dataset.groups
     )
-    return GroupedDataset(groups=groups, p=p, q=q), record
+    return GroupedDataset(groups=groups, p=dataset.p, q=dataset.q), record
 
 
 @dataclass(frozen=True)
@@ -379,7 +355,7 @@ def fit_moment(
 
 
 def kappa_check(
-    weights: list[np.ndarray],
+    weights: np.ndarray,
     sigma: np.ndarray,
     phi: float,
     summary_set: SummarySet,
@@ -387,15 +363,16 @@ def kappa_check(
     """Per-group spectral values whose uniform bound is the scheme constant.
 
     Returns the largest eigenvalue of
-    ``W^{1/2} (V2' Sigma V2 + phi D^{-2}) W^{1/2}`` for each group;
-    diagnostics only.
+    ``W^{1/2} (V2' Sigma V2 + phi D^{-2}) W^{1/2}`` over each group's
+    leading r x r block of the stacks; diagnostics only.
     """
     sigma = np.asarray(sigma, dtype=float)
-    vals = np.empty(len(weights))
-    for i, (s, W) in enumerate(zip(summary_set.summaries, weights)):
-        mid = s.V2.T @ sigma @ s.V2 + phi * _inv_pd(s.precision)
-        Wh = sym_sqrt(W)
-        vals[i] = np.linalg.eigvalsh(_sym(Wh @ mid @ Wh))[-1]
+    V2 = summary_set.V2
+    mids = V2.swapaxes(1, 2) @ sigma @ V2 + phi * summary_set.precision_inv
+    vals = np.empty(len(summary_set.summaries))
+    for i, s in enumerate(summary_set.summaries):
+        Wh = sym_sqrt(weights[i, :s.r, :s.r])
+        vals[i] = np.linalg.eigvalsh(sym(Wh @ mids[i, :s.r, :s.r] @ Wh))[-1]
     return vals
 
 
@@ -410,8 +387,8 @@ def kappa_bound(
     sig_norm = np.linalg.norm(sigma, 2)
     if spec.scheme == "unweighted":
         worst = max(
-            np.linalg.norm(_inv_pd(s.precision), 2)
-            for s in summary_set.summaries
+            np.linalg.norm(P[:s.r, :s.r], 2)
+            for s, P in zip(summary_set.summaries, summary_set.precision_inv)
         )
         return float(sig_norm + phi * worst)
     if spec.scheme == "weighted":

@@ -11,7 +11,7 @@ from .combine import MomentFit
 from .data import GroupedDataset
 from .families import Family
 from .groups import GroupSummary
-from .linalg import sym_sqrt
+from .linalg import sym, sym_sqrt
 
 __all__ = [
     "GroupPosterior",
@@ -48,6 +48,28 @@ class PosteriorSet:
         return np.array([e.mean for e in self.entries])
 
 
+def _posteriors(V1, V2, theta, precision, beta, sigma, phi):
+    """Posterior means (M, q) and covariances (M, q, q) of the random effects
+    of M stacked summaries, laid out as in :class:`SummarySet`."""
+    sigma = np.asarray(sigma, dtype=float)
+    M, q = V2.shape[0], sigma.shape[0]
+    if not np.any(sigma):
+        return np.zeros((M, q)), np.zeros((M, q, q))
+    resid = theta - np.einsum("mpk,p->mk", V1, beta)
+    A = sym_sqrt(sigma)
+    V2t = V2.swapaxes(1, 2)
+    if phi <= 0.0:
+        # Limit of the conjugate mean as the noise vanishes.
+        D = sym_sqrt(precision)
+        mean = np.einsum("ab,mbk,mkl,ml->ma",
+                         A, np.linalg.pinv(D @ V2t @ A), D, resid)
+        return mean, np.zeros((M, q, q))
+    K = sym(phi * np.eye(q) + A @ (V2 @ precision @ V2t) @ A)
+    C = sym(A @ np.linalg.solve(K, np.broadcast_to(A, K.shape)))
+    mean = np.einsum("mab,mbk,mkl,ml->ma", C, V2, precision, resid)
+    return mean, phi * C
+
+
 def posterior(
     summary: GroupSummary,
     beta: np.ndarray,
@@ -66,25 +88,10 @@ def posterior(
     ``phi <= 0`` gives the noiseless limit (least-squares deviation within
     the resolvable subspace, cov 0).
     """
-    beta = np.asarray(beta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    q = sigma.shape[0]
-    resid = summary.theta_rot - summary.V1.T @ beta
-    if not np.any(sigma):
-        return np.zeros(q), np.zeros((q, q))
-    A = sym_sqrt(sigma)
-    if phi <= 0.0:
-        # Limit of the conjugate mean as the noise vanishes.
-        D = sym_sqrt(summary.precision)
-        mean = A @ np.linalg.pinv(D @ summary.V2.T @ A) @ (D @ resid)
-        return mean, np.zeros((q, q))
-    G = summary.V2 @ summary.precision @ summary.V2.T
-    K = phi * np.eye(q) + A @ G @ A
-    K = (K + K.T) / 2.0
-    C = A @ np.linalg.solve(K, A)
-    C = (C + C.T) / 2.0
-    mean = C @ (summary.V2 @ (summary.precision @ resid))
-    return mean, phi * C
+    mean, cov = _posteriors(summary.V1[None], summary.V2[None],
+                            summary.theta_rot[None], summary.precision[None],
+                            beta, sigma, phi)
+    return mean[0], cov[0]
 
 
 def posterior_set(fit: MomentFit) -> PosteriorSet:
@@ -93,15 +100,17 @@ def posterior_set(fit: MomentFit) -> PosteriorSet:
     Group summaries live in the standardized frame; means and covariances are
     back-transformed through the fit's scale record.
     """
+    sset = fit.summary_set
+    means, covs = _posteriors(
+        sset.V1, sset.V2, sset.theta, sset.precision,
+        fit.beta_scaled, fit.sigma_scaled, fit.phi,
+    )
     zs = fit.scale_record.z_scale
-    zz = np.outer(zs, zs)
-    entries = []
-    for s in fit.summary_set.summaries:
-        mean, cov = posterior(s, fit.beta_scaled, fit.sigma_scaled, fit.phi)
-        entries.append(
-            GroupPosterior(group_id=s.group_id, mean=mean / zs, cov=cov / zz)
-        )
-    return PosteriorSet(entries=tuple(entries), q=fit.summary_set.q)
+    entries = tuple(
+        GroupPosterior(group_id=s.group_id, mean=m, cov=c)
+        for s, m, c in zip(sset.summaries, means / zs, covs / np.outer(zs, zs))
+    )
+    return PosteriorSet(entries=entries, q=sset.q)
 
 
 def predict_mean(

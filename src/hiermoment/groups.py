@@ -3,12 +3,14 @@
 Each group's raw data (y_i, X_i, Z_i) collapses to an orthonormal basis of the
 identifiable coefficient subspace, a rotated coefficient estimate, and an
 unscaled precision matrix. Groups are independent and are summarized one
-after another; the collected set is ordered by group id for reproducibility.
+after another; the collected set is ordered by group id for reproducibility
+and also holds the summaries as zero-padded stacks, so every population sum
+over groups is one array operation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Hashable
 
 import numpy as np
@@ -21,7 +23,7 @@ from .errors import (
     ZeroRankError,
 )
 from .families import Family, fit_glm, pearson_dispersion, unscaled_precision
-from .linalg import compact_svd
+from .linalg import compact_svd, sym
 
 __all__ = [
     "GroupSummary",
@@ -55,7 +57,16 @@ class GroupSummary:
 
 @dataclass(frozen=True)
 class SummarySet:
-    """Group summaries in ascending group-id order plus pooled quantities."""
+    """Group summaries in ascending group-id order plus pooled quantities.
+
+    ``__post_init__`` also stores the M summaries as padded stacks with
+    k = p + q: ``V1 (M, p, k)``, ``V2 (M, q, k)``, ``theta (M, k)``,
+    ``precision (M, k, k)`` and its inverse ``precision_inv (M, k, k)``.
+    Group i fills the leading ``r_i`` directions. The padded directions
+    have zero V columns, zero theta and identity precision, so they add
+    exactly 0 to every sum over the stacks. The summaries are stored once:
+    after construction each one's arrays are views into the stacks.
+    """
 
     summaries: tuple[GroupSummary, ...]
     p: int
@@ -64,6 +75,31 @@ class SummarySet:
     rho: int
     n_obs: int
     skipped: tuple[tuple[Hashable, str], ...]
+    V1: np.ndarray = field(init=False, repr=False, compare=False)
+    V2: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    precision: np.ndarray = field(init=False, repr=False, compare=False)
+    precision_inv: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        M, k = len(self.summaries), self.p + self.q
+        V1 = np.zeros((M, self.p, k))
+        V2 = np.zeros((M, self.q, k))
+        theta = np.zeros((M, k))
+        precision = np.tile(np.eye(k), (M, 1, 1))
+        views = []
+        for i, s in enumerate(self.summaries):
+            V1[i, :, :s.r] = s.V1
+            V2[i, :, :s.r] = s.V2
+            theta[i, :s.r] = s.theta_rot
+            precision[i, :s.r, :s.r] = s.precision
+            views.append(replace(
+                s, V1=V1[i, :, :s.r], V2=V2[i, :, :s.r],
+                theta_rot=theta[i, :s.r], precision=precision[i, :s.r, :s.r]))
+        for name, value in [("summaries", tuple(views)), ("V1", V1), ("V2", V2),
+                            ("theta", theta), ("precision", precision),
+                            ("precision_inv", sym(np.linalg.inv(precision)))]:
+            object.__setattr__(self, name, value)
 
 
 def summarize_group(
@@ -154,17 +190,14 @@ def build_summary_set(
     excluded from all downstream sums. Summaries and skips are sorted by
     group id, so the output does not depend on the order of the groups.
     """
-    def _one(g):
+    summaries, skipped = [], []
+    for g in dataset.groups:
         try:
-            return summarize_group(
+            summaries.append(summarize_group(
                 g.y, g.X, g.Z, family, rank_tol=rank_tol, group_id=g.group_id
-            ), None
+            ))
         except (ZeroRankError, ConvergenceError, DegeneratePrecisionError) as e:
-            return None, (g.group_id, str(e))
-
-    results = [_one(g) for g in dataset.groups]
-    summaries = [s for s, _ in results if s is not None]
-    skipped = [err for _, err in results if err is not None]
+            skipped.append((g.group_id, str(e)))
     summaries.sort(key=lambda s: s.group_id)
     skipped.sort(key=lambda e: e[0])
     phi = pool_dispersion(summaries, family)

@@ -4,7 +4,6 @@ projection onto the positive semidefinite cone."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ __all__ = [
     "compact_svd",
     "psd_project",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,11 @@ def compact_svd(F: np.ndarray, rank_tol: float | None = None) -> CompactSvd:
     return CompactSvd(U=U, d=d, V=V, r=r)
 
 
+def sym(S: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return (S + S.swapaxes(-1, -2)) / 2.0
+
+
 def psd_project(S: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix.
 
@@ -89,22 +91,21 @@ def psd_project(S: np.ndarray) -> np.ndarray:
     Already-PSD symmetric input is returned unchanged.
     """
     S = np.asarray(S, dtype=float)
-    H = (S + S.T) / 2.0
+    H = sym(S)
     w, Q = np.linalg.eigh(H)
     if w.size == 0 or w[0] >= 0.0:
         return H
     w = np.where(w < 0.0, 0.0, w)
-    P = (Q * w) @ Q.T
-    return (P + P.T) / 2.0
+    return sym((Q * w) @ Q.T)
 
 
 class SymBasis:
     """Coordinates for symmetric q x q matrices.
 
-    ``svec_scaled``/``smat_scaled`` pack and unpack the upper triangle
-    (row-major) with off-diagonal coordinates multiplied by sqrt(2), giving
-    an orthonormal basis in which self-adjoint operators have symmetric
-    reduced matrices.
+    The columns of ``vectors`` (q*q, q(q+1)/2) are the flattened orthonormal
+    basis ``B_ii = E_ii``, ``B_ij = (E_ij + E_ji)/sqrt(2)``, i <= j in
+    row-major order; in these coordinates self-adjoint operators have
+    symmetric reduced matrices.
     """
 
     def __init__(self, q: int):
@@ -112,91 +113,70 @@ class SymBasis:
             raise ValueError("q must be >= 1")
         self.q = int(q)
         self.dim = self.q * (self.q + 1) // 2
-        self._rows, self._cols = np.triu_indices(self.q)
-        self._scale = np.where(self._rows == self._cols, 1.0, _SQRT2)
+        rows, cols = np.triu_indices(self.q)
+        coef = np.where(rows == cols, 1.0, np.sqrt(0.5))
+        B = np.zeros((self.q, self.q, self.dim))
+        B[rows, cols, np.arange(self.dim)] = coef
+        B[cols, rows, np.arange(self.dim)] = coef
+        self.vectors = B.reshape(self.q * self.q, self.dim)
 
     def svec_scaled(self, S: np.ndarray) -> np.ndarray:
-        S = np.asarray(S, dtype=float)
-        return S[self._rows, self._cols] * self._scale
+        return self.vectors.T @ np.asarray(S, dtype=float).ravel()
 
     def smat_scaled(self, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if s.shape != (self.dim,):
-            raise ValueError(f"expected coordinate vector of length {self.dim}")
-        s = s / self._scale
-        S = np.zeros((self.q, self.q))
-        S[self._rows, self._cols] = s
-        S[self._cols, self._rows] = s
-        return S
+        return (self.vectors @ np.asarray(s, dtype=float)).reshape(self.q, self.q)
 
     def reduced_kron_self(self, A: np.ndarray) -> np.ndarray:
-        """Matrix of ``S -> A @ S @ A`` (A symmetric) in scaled coordinates.
-
-        Entry ((i,j),(k,l)) is ``<B_ij, A B_kl A>`` for the orthonormal basis
-        ``B_ii = E_ii``, ``B_ij = (E_ij + E_ji)/sqrt(2)``; assembled without
-        materializing the q^2 x q^2 Kronecker product.
+        """Matrix of ``S -> sum_m A_m @ S @ A_m`` (each A_m symmetric) in
+        scaled coordinates, for a stack (M, q, q) or one (q, q) matrix:
+        ``B' K B`` with ``K = sum_m A_m (x) A_m`` from one einsum.
         """
-        A = np.asarray(A, dtype=float)
-        i, j = self._rows, self._cols
-        raw = (
-            A[np.ix_(i, i)] * A[np.ix_(j, j)]
-            + A[np.ix_(i, j)] * A[np.ix_(j, i)]
-        )
-        f = np.where(i == j, 1.0 / _SQRT2, 1.0)
-        return raw * np.outer(f, f)
+        A = np.asarray(A, dtype=float).reshape(-1, self.q, self.q)
+        K = np.einsum("mab,mcd->acbd", A, A).reshape(self.q ** 2, -1)
+        return self.vectors.T @ K @ self.vectors
 
 
 class SymKronOperator:
-    """Accumulated operator ``sum_i A_i (x) A_i`` on symmetric q x q matrices,
-    materialized only in the reduced q(q+1)/2 coordinate system."""
+    """The operator ``sum_m A_m (x) A_m`` on symmetric q x q matrices for a
+    stack of symmetric terms ``A`` (M, q, q), materialized only in the
+    reduced q(q+1)/2 coordinate system and factored once at construction."""
 
-    def __init__(self, q: int):
-        self.basis = SymBasis(q)
-        self.matrix = np.zeros((self.basis.dim, self.basis.dim))
-        self._eig = None
-
-    def add(self, A: np.ndarray) -> None:
-        self.matrix += self.basis.reduced_kron_self(A)
-        self._eig = None
-
-    def _eigh(self):
-        if self._eig is None:
-            self._eig = np.linalg.eigh((self.matrix + self.matrix.T) / 2.0)
-        return self._eig
+    def __init__(self, terms: np.ndarray):
+        self.basis = SymBasis(np.shape(terms)[-1])
+        self.matrix = self.basis.reduced_kron_self(terms)
+        self._w, self._Q = np.linalg.eigh(sym(self.matrix))
 
     @property
     def min_eig(self) -> float:
-        w, _ = self._eigh()
-        return float(w[0])
+        return float(self._w[0])
 
     def solve(self, rhs: np.ndarray, eps_sing: float = 1e-12) -> np.ndarray:
-        """Solve ``sum_i A_i S A_i = rhs`` for symmetric S."""
-        w, Q = self._eigh()
-        amax = float(np.max(np.abs(w))) if w.size else 0.0
-        amin = float(np.min(np.abs(w))) if w.size else 0.0
+        """Solve ``sum_m A_m S A_m = rhs`` for symmetric S."""
+        w, Q = self._w, self._Q
+        amax, amin = float(np.abs(w).max()), float(np.abs(w).min())
         if amax <= 0.0 or amin <= eps_sing * amax:
             raise SingularOmega2Error(
                 "reduced symmetric-space operator is numerically singular "
                 f"(|eig| range [{amin:.3e}, {amax:.3e}]); the random-effect "
                 "design does not identify all covariance components"
             )
-        b = self.basis.svec_scaled(np.asarray(rhs, dtype=float))
-        s = Q @ ((Q.T @ b) / w)
-        return self.basis.smat_scaled(s)
+        b = self.basis.svec_scaled(rhs)
+        return self.basis.smat_scaled(Q @ ((Q.T @ b) / w))
 
 
 def sym_sqrt(S: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition; tiny negative
-    eigenvalues from roundoff are clipped to zero."""
+    """Symmetric PSD square root via eigendecomposition, of one matrix or of
+    each matrix in a stack; tiny negative eigenvalues from roundoff are
+    clipped to zero."""
     S = np.asarray(S, dtype=float)
-    w, Q = np.linalg.eigh((S + S.T) / 2.0)
+    w, Q = np.linalg.eigh(sym(S))
     w = np.sqrt(np.where(w < 0.0, 0.0, w))
-    return (Q * w) @ Q.T
+    return (Q * w[..., None, :]) @ Q.swapaxes(-1, -2)
 
 
 def eigen_floor(S: np.ndarray, floor: float) -> np.ndarray:
     """Raise eigenvalues of a symmetric matrix to at least ``floor``."""
     S = np.asarray(S, dtype=float)
-    w, Q = np.linalg.eigh((S + S.T) / 2.0)
+    w, Q = np.linalg.eigh(sym(S))
     w = np.where(w < floor, floor, w)
     return (Q * w) @ Q.T

@@ -389,8 +389,8 @@ def run_study(
     return rows
 
 
-def study_table(rows: list[StudyRow], delimiter: str = "\t") -> str:
-    """Render study rows as delimited text with a header."""
+def study_table(rows: list[StudyRow]) -> str:
+    """Render study rows as tab-delimited text with a header."""
     cols = [
         "method", "n_obs", "n_groups", "replicates", "failures",
         "fixed_mean", "fixed_se", "cov_mean", "cov_se",
@@ -398,10 +398,10 @@ def study_table(rows: list[StudyRow], delimiter: str = "\t") -> str:
         "fixed_median", "cov_median", "raneff_median", "pred_median",
         "seconds_mean",
     ]
-    lines = [delimiter.join(cols)]
+    lines = ["\t".join(cols)]
     for r in rows:
-        lines.append(delimiter.join(repr(getattr(r, c)) if isinstance(getattr(r, c), float)
-                                    else str(getattr(r, c)) for c in cols))
+        lines.append("\t".join(repr(getattr(r, c)) if isinstance(getattr(r, c), float)
+                               else str(getattr(r, c)) for c in cols))
     return "\n".join(lines) + "\n"
 
 

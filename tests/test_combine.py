@@ -16,6 +16,8 @@ and the pooled dispersion is the within-group ANOVA mean square.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +38,7 @@ from hiermoment.combine import (
     standardize,
 )
 from hiermoment.data import GroupedDataset
+from hiermoment.ebayes import posterior_set
 from hiermoment.errors import SingularOmega2Error, SingularOmegaError
 from hiermoment.families import GAUSSIAN
 from hiermoment.groups import build_summary_set
@@ -70,24 +73,26 @@ def random_dataset(rng, M=20, p=2, q=2, n_lo=4, n_hi=12, sigma_scale=0.5):
 
 
 class TestMakeWeights:
+    """Each group's weights are the leading r x r block of its stack entry."""
+
     def test_unweighted_identity(self):
         ds = one_way_dataset([[1.0, 2.0], [0.0, 1.0, 2.0]])
         sset = build_summary_set(ds, GAUSSIAN)
         for W in make_weights(sset, WeightSpec.unweighted()):
-            np.testing.assert_array_equal(W, np.eye(1))
+            np.testing.assert_array_equal(W[:1, :1], np.eye(1))
 
     def test_weighted_is_precision(self):
         ds = one_way_dataset([[1.0, 2.0, 0.0]])  # n=3, D^2 = 6
         sset = build_summary_set(ds, GAUSSIAN)
         (W,) = make_weights(sset, WeightSpec.weighted())
-        np.testing.assert_allclose(W, [[6.0]], rtol=1e-12)
+        np.testing.assert_allclose(W[:1, :1], [[6.0]], rtol=1e-12)
 
     def test_semi_weighted_scalar_value(self):
         # n=4: (V2' I V2 + D^-2)^-1 = (1/2 + 1/8)^-1 = 1.6
         ds = one_way_dataset([[1.0, 2.0, 3.0, 4.0]])
         sset = build_summary_set(ds, GAUSSIAN)
         (W,) = make_weights(sset, WeightSpec.semi_weighted(np.eye(1)))
-        np.testing.assert_allclose(W, [[1.6]], rtol=1e-12)
+        np.testing.assert_allclose(W[:1, :1], [[1.6]], rtol=1e-12)
 
     def test_optimal_equals_semi_at_scaled_sigma(self):
         rng = np.random.default_rng(3)
@@ -111,6 +116,104 @@ class TestMakeWeights:
         sset = build_summary_set(ds, GAUSSIAN)
         with pytest.raises(ValueError):
             make_weights(sset, WeightSpec(scheme="bogus"))
+
+
+def mixed_rank_dataset(rng):
+    """p = q = 2 (k = 4) with singleton groups, groups of n < k rows, groups
+    whose X and Z share an intercept column (r = 3), and full-rank groups."""
+    ys, Xs, Zs, ids = [], [], [], []
+    layout = [(1, False)] * 3 + [(2, False), (3, False)] * 2 \
+        + [(8, True)] * 3 + [(9, False)] * 5
+    for i, (n, shared) in enumerate(layout):
+        X = rng.normal(size=(n, 2))
+        Z = rng.normal(size=(n, 2))
+        if shared:
+            X[:, 0] = Z[:, 0] = 1.0
+        ys.append(X @ np.array([1.0, -0.5]) + Z @ rng.normal(size=2)
+                  + rng.normal(size=n))
+        Xs.append(X)
+        Zs.append(Z)
+        ids.extend([i] * n)
+    return GroupedDataset.from_long(np.concatenate(ys), np.vstack(Xs),
+                                    np.vstack(Zs), ids)
+
+
+class TestPaddedStacks:
+    """The padded-stack combination against a per-group r x r loop."""
+
+    def test_matches_per_group_loop(self):
+        rng = np.random.default_rng(53)
+        sset = build_summary_set(mixed_rank_dataset(rng), GAUSSIAN)
+        assert {s.r for s in sset.summaries} == {1, 2, 3, 4}
+        sigma0 = np.array([[0.7, 0.2], [0.2, 0.4]])
+        for spec in [WeightSpec.unweighted(), WeightSpec.weighted(),
+                     WeightSpec.semi_weighted(sigma0)]:
+            W = make_weights(sset, spec)
+            q = sset.q
+            omega = np.zeros((2, 2))
+            rhs = np.zeros(2)
+            K = np.zeros((q * q, q * q))
+            bias_rhs = np.zeros((q, q))
+            for i, s in enumerate(sset.summaries):
+                P_inv = np.linalg.inv(s.precision)
+                Wi = {"unweighted": np.eye(s.r),
+                      "weighted": s.precision,
+                      "semiweighted": np.linalg.inv(
+                          s.V2.T @ sigma0 @ s.V2 + P_inv)}[spec.scheme]
+                np.testing.assert_allclose(W[i, :s.r, :s.r], Wi,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_array_equal(W[i, s.r:, s.r:],
+                                              np.eye(4 - s.r))
+                np.testing.assert_array_equal(W[i, :s.r, s.r:], 0.0)
+                omega += s.V1 @ Wi @ s.V1.T
+                rhs += s.V1 @ Wi @ s.theta_rot
+                A = s.V2 @ Wi @ s.V2.T
+                K += np.kron(A, A)
+                bias_rhs += s.V2 @ Wi @ P_inv @ Wi @ s.V2.T
+            beta, omega_b = fixed_effects(sset, W)
+            np.testing.assert_allclose(omega_b, omega, rtol=1e-12)
+            np.testing.assert_allclose(beta, np.linalg.solve(omega, rhs),
+                                       rtol=1e-12)
+            op, B = omega2_and_bias(sset, W)
+            B_ref = np.linalg.solve(K, bias_rhs.ravel()).reshape(q, q)
+            np.testing.assert_allclose(B, B_ref, rtol=1e-12, atol=1e-12)
+            S = rng.normal(size=(q, q))
+            S = S + S.T
+            applied = op.basis.smat_scaled(op.matrix @ op.basis.svec_scaled(S))
+            np.testing.assert_allclose(applied, (K @ S.ravel()).reshape(q, q),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_posteriors_match_per_group_loop(self):
+        """posterior_set over the padded stacks, noisy and noiseless, equals
+        per-group r x r forms: the conjugate mean Sigma V2 (V2' Sigma V2 +
+        phi P^-1)^-1 resid, and at phi = 0 Sigma^(1/2) times the min-norm
+        least-squares solution of L'(V2' Sigma^(1/2) v - resid) = 0, with
+        P = L L'."""
+        rng = np.random.default_rng(59)
+        fit = fit_moment(mixed_rank_dataset(rng), GAUSSIAN)
+        sigma = np.array([[0.7, 0.2], [0.2, 0.4]])
+        w, U = np.linalg.eigh(sigma)
+        A = U @ np.diag(np.sqrt(w)) @ U.T
+        zs = fit.scale_record.z_scale
+        for phi in [fit.phi, 0.0]:
+            pset = posterior_set(
+                dataclasses.replace(fit, phi=phi, sigma_scaled=sigma))
+            for s in fit.summary_set.summaries:
+                resid = s.theta_rot - s.V1.T @ fit.beta_scaled
+                if phi > 0.0:
+                    H = sigma @ s.V2 @ np.linalg.inv(
+                        s.V2.T @ sigma @ s.V2 + phi * np.linalg.inv(s.precision))
+                    mean, cov = H @ resid, sigma - H @ s.V2.T @ sigma
+                else:
+                    Lt = np.linalg.cholesky(s.precision).T
+                    v = np.linalg.lstsq(Lt @ s.V2.T @ A, Lt @ resid,
+                                        rcond=None)[0]
+                    mean, cov = A @ v, np.zeros((2, 2))
+                entry = pset.get(s.group_id)
+                np.testing.assert_allclose(entry.mean, mean / zs,
+                                           rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(entry.cov, cov / np.outer(zs, zs),
+                                           rtol=1e-9, atol=1e-9)
 
 
 class TestFixedEffects:
@@ -394,22 +497,32 @@ class TestFitMoment:
 
     def test_scale_equivariance(self):
         """Scaling predictor columns rescales estimates exactly;
-        back-transformed results agree to 1e-6 relative."""
+        back-transformed results agree to 1e-6 relative, also for a column
+        at 1e+-170, whose raw sum of squares overflows or underflows.
+
+        At 1e170 the Gram matrix in original units (about 1e340) is not
+        representable, so ``omega`` overflows with a RuntimeWarning."""
         rng = np.random.default_rng(29)
         ds, _ = random_dataset(rng, M=20)
-        cx = np.array([10.0, 0.2])
-        cz = np.array([5.0, 0.5])
-        groups = tuple(
-            type(g)(group_id=g.group_id, y=g.y, X=g.X * cx, Z=g.Z * cz)
-            for g in ds.groups
-        )
-        ds_scaled = GroupedDataset(groups=groups, p=2, q=2)
         a = fit_moment(ds, GAUSSIAN)
-        b = fit_moment(ds_scaled, GAUSSIAN)
-        np.testing.assert_allclose(b.beta * cx, a.beta, rtol=1e-6)
-        np.testing.assert_allclose(b.sigma * np.outer(cz, cz), a.sigma,
-                                   rtol=1e-6, atol=1e-12)
-        np.testing.assert_allclose(b.phi, a.phi, rtol=1e-6)
+        for cx, cz in [([10.0, 0.2], [5.0, 0.5]),
+                       ([1e170, 1.0], [1.0, 1.0]),
+                       ([1e-170, 1.0], [1.0, 1.0])]:
+            cx, cz = np.array(cx), np.array(cz)
+            groups = tuple(
+                type(g)(group_id=g.group_id, y=g.y, X=g.X * cx, Z=g.Z * cz)
+                for g in ds.groups
+            )
+            overflows = cx[0] == 1e170
+            with (pytest.warns(RuntimeWarning, match="overflow")
+                  if overflows else contextlib.nullcontext()):
+                b = fit_moment(GroupedDataset(groups=groups, p=2, q=2),
+                               GAUSSIAN)
+            assert np.isinf(b.omega[0, 0]) == overflows
+            np.testing.assert_allclose(b.beta * cx, a.beta, rtol=1e-6)
+            np.testing.assert_allclose(b.sigma * np.outer(cz, cz), a.sigma,
+                                       rtol=1e-6, atol=1e-12)
+            np.testing.assert_allclose(b.phi, a.phi, rtol=1e-6)
 
     def test_existence_under_full_rank_designs(self):
         """No singularity errors whenever the stacked fixed design has full

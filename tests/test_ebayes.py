@@ -153,6 +153,9 @@ class TestGeneralPosterior:
 
 class TestPosteriorSet:
     def test_matches_per_summary_posterior(self):
+        """Every group's posterior equals the conjugate form on its raw rows:
+        mean Sigma Z'(Z Sigma Z' + phi I)^-1 (y - X beta) and covariance
+        Sigma - Sigma Z'(Z Sigma Z' + phi I)^-1 Z Sigma."""
         rng = np.random.default_rng(13)
         ys, Xs, Zs, ids = [], [], [], []
         for i in range(12):
@@ -171,11 +174,14 @@ class TestPosteriorSet:
         pset = posterior_set(fit)
         assert pset.q == 2
         assert len(pset.entries) == 12
-        for s in fit.summary_set.summaries:
-            mean, cov = posterior(s, fit.beta_scaled, fit.sigma_scaled, fit.phi)
-            entry = pset.get(s.group_id)
-            np.testing.assert_array_equal(entry.mean, mean)
-            np.testing.assert_array_equal(entry.cov, cov)
+        for g in ds.groups:
+            H = fit.sigma @ g.Z.T @ np.linalg.inv(
+                g.Z @ fit.sigma @ g.Z.T + fit.phi * np.eye(g.n))
+            entry = pset.get(g.group_id)
+            np.testing.assert_allclose(entry.mean, H @ (g.y - g.X @ fit.beta),
+                                       rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(entry.cov, fit.sigma - H @ g.Z @ fit.sigma,
+                                       rtol=1e-9, atol=1e-9)
         assert pset.get("missing") is None
         assert pset.means().shape == (12, 2)
 

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from hiermoment.combine import fit_moment
 from hiermoment.data import GroupedDataset
+from hiermoment.ebayes import posterior_set
 from hiermoment.errors import DispersionError
 from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN
 from hiermoment.groups import (
@@ -239,16 +241,23 @@ class TestBuildSummarySet:
 
     def test_input_block_order_invariance(self):
         """Groups presented in a different long-format order give bitwise
-        identical summaries (rows within each group keep their order)."""
+        identical summaries and posteriors (rows within each group keep their
+        order)."""
         rng = np.random.default_rng(37)
         y, X, Z, ids = _random_dataset(rng, M=8)
         order = np.argsort(ids % 3, kind="stable")  # interleave group blocks
-        a = build_summary_set(GroupedDataset.from_long(y, X, Z, ids), GAUSSIAN)
-        b = build_summary_set(
-            GroupedDataset.from_long(y[order], X[order], Z[order], ids[order]),
-            GAUSSIAN,
-        )
-        _assert_same_set(a, b)
+        ds_a = GroupedDataset.from_long(y, X, Z, ids)
+        ds_b = GroupedDataset.from_long(y[order], X[order], Z[order],
+                                        ids[order])
+        _assert_same_set(build_summary_set(ds_a, GAUSSIAN),
+                         build_summary_set(ds_b, GAUSSIAN))
+        pa = posterior_set(fit_moment(ds_a, GAUSSIAN))
+        pb = posterior_set(fit_moment(ds_b, GAUSSIAN))
+        assert len(pa.entries) == len(pb.entries) == 8
+        for ea, eb in zip(pa.entries, pb.entries):
+            assert ea.group_id == eb.group_id
+            assert np.array_equal(ea.mean, eb.mean)
+            assert np.array_equal(ea.cov, eb.cov)
 
     def test_binomial_pooled_dispersion_is_one(self):
         rng = np.random.default_rng(41)

@@ -188,10 +188,7 @@ class TestSymBasis:
 
 
 def _operator(terms):
-    op = SymKronOperator(terms[0].shape[0])
-    for A in terms:
-        op.add(A)
-    return op
+    return SymKronOperator(np.array(terms))
 
 
 class TestSymKronSolve:
@@ -261,10 +258,9 @@ class TestSymKronSolve:
     def test_min_eig_matches_dense(self):
         rng = np.random.default_rng(47)
         q = 3
-        op = SymKronOperator(q)
         A = rng.normal(size=(q, q))
         A = A @ A.T
-        op.add(A)
+        op = SymKronOperator(A[None])
         # eigenvalues of A (x) A restricted to symmetric space are products
         # of the eigenvalues of A
         w = np.linalg.eigvalsh(A)
