@@ -1,16 +1,33 @@
-"""Response families (gaussian-identity, binomial-logit), IRLS fitting with
-Firth's bias-reduced score modification, Pearson dispersion, and the plug-in
-unscaled precision matrix."""
+"""Response families (gaussian-identity, binomial-logit), the GLM fit of many
+groups at once, Pearson dispersion, and the plug-in unscaled precision.
+
+Stacked layout: the rows of M groups lie in one long array in contiguous
+blocks, group i owning rows ``starts[i]:starts[i + 1]``, and every group's
+design is zero-padded to the same k columns, of which its leading
+``ranks[i]`` have full column rank. Per-group sums are segment sums over the
+row blocks, taken in blocks of bounded size, and per-group solves are
+batched calls on ``(M, k, k)`` stacks whose padded block is the identity, so
+padded coefficients stay exactly 0. Each group's result depends on its own
+rows only. A call without ``starts`` is the one-group case, M = 1.
+
+Logit groups maximize the Jeffreys-penalized (Firth) likelihood by exact
+Newton steps, with a Fisher step wherever the Hessian is not negative
+definite and step-halving on the penalized objective; a group stops once its
+penalized score norm is at most ``tol``. Gaussian groups are the w = 1 case,
+exact after one step.
+"""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import expit, logit
 
 from .errors import ConvergenceError, DegeneratePrecisionError
+from .linalg import sym
 
 __all__ = [
     "Family",
@@ -21,9 +38,13 @@ __all__ = [
     "fit_glm",
     "pearson_dispersion",
     "unscaled_precision",
+    "singular_precision",
 ]
 
 _MU_EPS = 1e-10
+_BLOCK_ENTRIES = 1 << 16  # entries of row-wise products held at one time
+_MAX_HALVINGS = 12
+_HALVING_SLACK = 1e-10  # relative round-off allowance of the halving test
 
 
 def _clip_mu(mu):
@@ -85,50 +106,163 @@ def get_family(name: str) -> Family:
 
 @dataclass(frozen=True)
 class GlmFit:
-    """Result of a single GLM fit on a full-column-rank design."""
+    """Result of a GLM fit.
+
+    For one group, ``coef`` has shape (r,), ``converged`` is a bool and
+    ``deviance`` a float. For a stacked fit of M groups they have shapes
+    (M, k), (M,) and (M,). ``fitted_mean`` is per row, and ``iterations``
+    counts the passes over the stack (the score evaluations of the slowest
+    group).
+    """
 
     coef: np.ndarray
     fitted_mean: np.ndarray
-    converged: bool
+    converged: bool | np.ndarray
     iterations: int
-    deviance: float
+    deviance: float | np.ndarray
 
 
-def _binomial_loglik(y, mu):
-    mu = _clip_mu(mu)
-    return float(np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)))
+@dataclass(frozen=True)
+class _Stack:
+    """Row blocks and padding of M stacked groups."""
+
+    starts: np.ndarray  # (M,) first row of each group
+    sizes: np.ndarray   # (M,) rows of each group
+    pad: np.ndarray     # (M, k) True in the padded directions
+
+    @classmethod
+    def make(cls, n_rows, k, starts, ranks):
+        starts = np.zeros(1, dtype=np.intp) if starts is None \
+            else np.asarray(starts, dtype=np.intp)
+        ranks = np.full(starts.size, k) if ranks is None else np.asarray(ranks)
+        if starts.size and (starts[0] != 0 or np.any(np.diff(starts) < 1)
+                            or starts[-1] >= n_rows):
+            raise ValueError("group starts must begin at 0 and increase "
+                             "strictly within the rows")
+        return cls(starts, np.diff(starts, append=n_rows),
+                   np.arange(k) >= ranks[:, None])
+
+    def take(self, groups):
+        """The sub-stack of ``groups`` and the row index of their rows."""
+        sizes = self.sizes[groups]
+        ends = np.cumsum(sizes)
+        rows = np.arange(ends[-1] if sizes.size else 0) \
+            + np.repeat(self.starts[groups] - (ends - sizes), sizes)
+        return _Stack(ends - sizes, sizes, self.pad[groups]), rows
+
+    def group_of_row(self):
+        return np.repeat(np.arange(self.sizes.size), self.sizes)
+
+    def linear_predictor(self, F, coef):
+        """Each row's ``f_j . coef[group of j]``, one column at a time so
+        that no (N, k) gather of the coefficients is built."""
+        gid = self.group_of_row()
+        eta = F[:, 0] * coef[gid, 0]
+        for j in range(1, F.shape[1]):
+            eta += F[:, j] * coef[gid, j]
+        return eta
+
+    def padded(self, S):
+        """The (M, k, k) stack ``S`` with the identity in the padded block."""
+        k = self.pad.shape[1]
+        S[:, np.arange(k), np.arange(k)] += self.pad
+        return S
+
+    def sums(self, width, terms):
+        """Per-group sums of row-wise products: ``terms(lo, hi)`` gives the
+        (hi - lo, width) products of rows lo:hi. Rows are taken in blocks of
+        about ``_BLOCK_ENTRIES`` entries; a group longer than a block is
+        summed in pieces counted from its own first row, so each group's
+        sums depend on its own rows only."""
+        block = max(1, _BLOCK_ENTRIES // width)
+        npieces = -(-self.sizes // block)
+        first = np.cumsum(npieces) - npieces
+        piece = np.repeat(self.starts, npieces) + block * (
+            np.arange(npieces.sum()) - np.repeat(first, npieces))
+        n_rows = self.starts[-1] + self.sizes[-1]
+        cuts = np.unique(piece[np.searchsorted(
+            piece, np.arange(0, n_rows, block), side="right") - 1])
+        cuts = np.append(cuts, n_rows)
+        out = np.empty((piece.size, width))
+        p0 = 0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            p1 = np.searchsorted(piece, hi)
+            out[p0:p1] = np.add.reduceat(terms(lo, hi), piece[p0:p1] - lo,
+                                         axis=0)
+            p0 = p1
+        return out if piece.size == self.sizes.size \
+            else np.add.reduceat(out, first, axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _sym_index(k, order):
+    """Index tuples a <= b [<= c] of the distinct entries of a symmetric
+    k^order tensor, in lexicographic order, and the position of every full
+    index among them."""
+    combos = list(itertools.combinations_with_replacement(range(k), order))
+    where = {c: i for i, c in enumerate(combos)}
+    full = np.array([where[tuple(sorted(t))]
+                     for t in itertools.product(range(k), repeat=order)])
+    return np.array(combos), full.reshape((k,) * order)
+
+
+def _outer(f, order):
+    """Distinct entries of each row's ``f^(x order)``, in the order of
+    ``_sym_index``: (n, C(k + order - 1, order))."""
+    cols = _sym_index(f.shape[1], order)[0].T
+    out = f[:, cols[0]]
+    for c in cols[1:]:
+        out = out * f[:, c]
+    return out
+
+
+def _unpack(sums, k, order):
+    """Full symmetric (M, k, ..., k) tensors from per-group distinct entries."""
+    return sums[:, _sym_index(k, order)[1]]
+
+
+def _n_sym(k, order):
+    return len(_sym_index(k, order)[0])
 
 
 def fit_glm(
     y: np.ndarray,
     F0: np.ndarray,
     family: Family,
-    firth: bool = False,
+    starts: np.ndarray | None = None,
+    ranks: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 100,
 ) -> GlmFit:
-    """Fit a GLM coefficient vector on a full-column-rank design.
+    """Fit one GLM coefficient vector per group on full-column-rank designs.
 
-    For the gaussian family this is the exact least-squares solution in one
-    step (the ``firth`` flag is a no-op). For binomial-logit it runs IRLS on
-    the (optionally Firth-penalized) score; with ``firth=True`` the estimate
-    maximizes the Jeffreys-penalized likelihood and exists even under perfect
-    separation.
+    Gaussian groups get the least-squares solution, from the normal
+    equations (exact to rounding when the columns are orthogonal, as for
+    ``F0 = U * d``). Binomial-logit groups maximize the Jeffreys-penalized
+    likelihood, which exists even under perfect separation, by exact Newton
+    steps on all groups at once (see the module docstring).
 
     Parameters
     ----------
-    y : ndarray of shape (n,)
+    y : ndarray of shape (N,)
         Response; in {0, 1} for binomial-logit.
-    F0 : ndarray of shape (n, r)
-        Design of full column rank (pre-reduce rank-deficient designs).
+    F0 : ndarray of shape (N, k)
+        Designs of full column rank (pre-reduce rank-deficient designs),
+        stacked by rows as described in the module docstring.
     family : Family
-    firth : bool
-        Apply Firth's bias-reducing score modification (binomial only).
+    starts : ndarray of shape (M,), optional
+        First row of each group. None fits all rows as one group, checks
+        that ``F0`` has full column rank, unwraps the result to that group,
+        and raises ConvergenceError (carrying the last iterate) if it did
+        not converge.
+    ranks : ndarray of shape (M,), optional
+        Columns of each group's design; the remaining columns are zero
+        padding. Defaults to k.
     tol : float
-        Convergence threshold on the (penalized) score norm.
+        Convergence threshold on each group's penalized score norm.
     max_iter : int
-        Iteration cap; exceeding it raises ConvergenceError carrying the
-        last iterate.
+        Cap on passes; groups that have not converged by then are returned
+        with ``converged`` False.
 
     Returns
     -------
@@ -136,110 +270,192 @@ def fit_glm(
     """
     y = np.asarray(y, dtype=float)
     F0 = np.asarray(F0, dtype=float)
-    n, r = F0.shape
+    n, k = F0.shape
     if y.shape != (n,):
         raise ValueError(f"response length {y.shape} does not match design rows {n}")
-    if r < 1:
+    if k < 1:
         raise ValueError("design has no columns")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(F0))):
         raise ValueError("non-finite values in response or design")
-
-    if family.name == "gaussian":
-        coef, _, rank, _ = np.linalg.lstsq(F0, y, rcond=None)
-        if rank < r:
-            raise ValueError("design is rank deficient; reduce it first")
-        mu = F0 @ coef
-        rss = float(np.sum((y - mu) ** 2))
-        return GlmFit(coef=coef, fitted_mean=mu, converged=True,
-                      iterations=1, deviance=rss)
-
-    if np.any((y != 0.0) & (y != 1.0)):
+    if family.name != "gaussian" and np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("binomial-logit response must be 0/1")
-    if np.linalg.matrix_rank(F0) < r:
+    if starts is None and np.linalg.matrix_rank(F0) < k:
         raise ValueError("design is rank deficient; reduce it first")
-
-    coef = np.zeros(r)
-    mu = expit(F0 @ coef)
-    ll = None
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = mu * (1.0 - mu)
-        w = np.clip(w, _MU_EPS, None)
-        sw = np.sqrt(w)
-        Q, R = np.linalg.qr(F0 * sw[:, None])
-        resid = y - mu
-        if firth:
-            h = np.einsum("ij,ij->i", Q, Q)
-            resid = resid + h * (0.5 - mu)
-        score = F0.T @ resid
-        if np.linalg.norm(score) <= tol:
-            break
-        step = scipy.linalg.solve_triangular(
-            R, scipy.linalg.solve_triangular(R.T, score, lower=True)
-        )
-        if ll is None:
-            ll = _penalized_objective(y, mu, R, firth)
-        # Step-halve if the (penalized) likelihood worsens.
-        new_coef = coef + step
-        for _ in range(12):
-            new_eta = F0 @ new_coef
-            new_mu = expit(new_eta)
-            new_w = np.clip(new_mu * (1.0 - new_mu), _MU_EPS, None)
-            _, new_R = np.linalg.qr(F0 * np.sqrt(new_w)[:, None])
-            new_ll = _penalized_objective(y, new_mu, new_R, firth)
-            if new_ll >= ll or not np.isfinite(ll):
-                break
-            step = step / 2.0
-            new_coef = coef + step
-        coef, mu, ll = new_coef, new_mu, new_ll
+    stack = _Stack.make(n, k, starts, ranks)
+    if family.name == "gaussian":
+        fit = _least_squares(y, F0, stack)
     else:
-        fit = GlmFit(coef=coef, fitted_mean=mu, converged=False,
-                     iterations=max_iter,
-                     deviance=-2.0 * _binomial_loglik(y, mu))
+        fit = _firth(y, F0, stack, tol, max_iter)
+    if starts is not None:
+        return fit
+    one = GlmFit(coef=fit.coef[0], fitted_mean=fit.fitted_mean,
+                 converged=bool(fit.converged[0]), iterations=fit.iterations,
+                 deviance=float(fit.deviance[0]))
+    if not one.converged:
         raise ConvergenceError(
-            f"IRLS did not reach score norm {tol:g} in {max_iter} iterations",
-            fit=fit,
+            f"fit did not reach score norm {tol:g} in {max_iter} iterations",
+            fit=one,
         )
-    return GlmFit(coef=coef, fitted_mean=mu, converged=True,
-                  iterations=iterations,
-                  deviance=-2.0 * _binomial_loglik(y, mu))
+    return one
 
 
-def _penalized_objective(y, mu, R, firth):
-    ll = _binomial_loglik(y, mu)
-    if firth:
-        ll += float(np.sum(np.log(np.abs(np.diag(R)))))
-    return ll
+def _information(F, w, stack):
+    """Each group's ``F' diag(w) F``, with the identity in the padded block."""
+    k = F.shape[1]
+    return stack.padded(_unpack(stack.sums(_n_sym(k, 2), lambda lo, hi: _outer(
+        F[lo:hi], 2) * w[lo:hi, None]), k, 2))
 
 
-def pearson_dispersion(y, mu, family: Family, r: int) -> float | None:
+def _least_squares(y, F, stack):
+    M, k = stack.pad.shape
+    gram = _information(F, np.ones_like(y), stack)
+    rhs = stack.sums(k, lambda lo, hi: F[lo:hi] * y[lo:hi, None])
+    coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    mu = stack.linear_predictor(F, coef)
+    return GlmFit(coef=coef, fitted_mean=mu, converged=np.ones(M, dtype=bool),
+                  iterations=1,
+                  deviance=np.add.reduceat((y - mu) ** 2, stack.starts))
+
+
+def _penalized(y, F, stack, coef):
+    """Mean, working weight, information (identity in the padded block), log
+    likelihood and penalized log likelihood of each group at ``coef``."""
+    eta = stack.linear_predictor(F, coef)
+    mu = expit(eta)
+    w = np.clip(mu * (1.0 - mu), _MU_EPS, None)
+    info = _information(F, w, stack)
+    ll = np.add.reduceat(y * eta - np.logaddexp(0.0, eta), stack.starts)
+    sign, logdet = np.linalg.slogdet(info)
+    objective = np.where(sign > 0, ll + 0.5 * logdet, -np.inf)
+    return mu, w, info, ll, objective
+
+
+def _newton_step(y, F, stack, mu, w, info):
+    """Penalized score and the exact-Newton step of each group (a Fisher
+    step where the Hessian is not negative definite).
+
+    With A = I^-1, leverages h_j = w_j f_j' A f_j and
+    T = sum_j w_j (1 - 2 mu_j) f_j (x) f_j (x) f_j, the score is
+    F'(y - mu + h (1/2 - mu)) and the Hessian of the penalized likelihood
+    is -I + 1/2 F' diag(h (1 - 6w)) F - 1/2 [tr(A T_a A T_b)]_ab.
+    """
+    M, k = stack.pad.shape
+    m2, m3 = _n_sym(k, 2), _n_sym(k, 3)
+    A = sym(np.linalg.inv(info))
+    gid = stack.group_of_row()
+
+    def terms(lo, hi):
+        f, wj, mj = F[lo:hi], w[lo:hi], mu[lo:hi]
+        h = wj * np.einsum("nk,nk->n", (f[:, None, :] @ A[gid[lo:hi]])[:, 0], f)
+        out = np.empty((hi - lo, k + m2 + m3))
+        np.multiply(f, (y[lo:hi] - mj + h * (0.5 - mj))[:, None], out=out[:, :k])
+        np.multiply(_outer(f, 2), (h * (1.0 - 6.0 * wj))[:, None],
+                    out=out[:, k:k + m2])
+        np.multiply(_outer(f, 3), (wj * (1.0 - 2.0 * mj))[:, None],
+                    out=out[:, k + m2:])
+        return out
+
+    sums = stack.sums(k + m2 + m3, terms)
+    score = sums[:, :k]
+    AT = (A[:, None] @ _unpack(sums[:, k + m2:], k, 3)).reshape(M, k, k * k)
+    ATt = AT.reshape(M, k, k, k).swapaxes(-1, -2).reshape(M, k, k * k)
+    hess = sym(-info + 0.5 * _unpack(sums[:, k:k + m2], k, 2)
+               - 0.5 * (AT @ ATt.swapaxes(-1, -2)))
+    newton = np.linalg.eigvalsh(hess)[:, -1] < 0.0
+    neg = np.where(newton[:, None, None], -hess, info)
+    step = np.where(newton[:, None], np.linalg.solve(neg, score[:, :, None])[:, :, 0],
+                    (A @ score[:, :, None])[:, :, 0])
+    return score, step
+
+
+def _firth(y, F, stack, tol, max_iter):
+    M, k = stack.pad.shape
+    coef = np.zeros((M, k))
+    mu, w, info, ll, objective = _penalized(y, F, stack, coef)
+    converged = np.zeros(M, dtype=bool)
+    active = np.arange(M)
+    passes = 0
+    for passes in range(1, max_iter + 1):
+        sub, rows = stack.take(active)
+        score, step = _newton_step(y[rows], F[rows], sub, mu[rows], w[rows],
+                                   info[active])
+        done = np.linalg.norm(score, axis=1) <= tol
+        converged[active[done]] = True
+        active, step = active[~done], step[~done]
+        if active.size == 0 or passes == max_iter:
+            break
+        # Step-halving on the penalized objective, per group; the last
+        # halving is taken whatever its value, if that value is finite.
+        trial = np.arange(active.size)
+        for halving in range(_MAX_HALVINGS + 1):
+            groups = active[trial]
+            sub, rows = stack.take(groups)
+            t_mu, t_w, t_info, t_ll, t_obj = _penalized(
+                y[rows], F[rows], sub, coef[groups] + step[trial])
+            ok = (t_obj >= objective[groups]
+                  - _HALVING_SLACK * np.abs(objective[groups]))
+            ok |= (halving == _MAX_HALVINGS) & np.isfinite(t_obj)
+            row_ok = np.repeat(ok, sub.sizes)
+            mu[rows[row_ok]], w[rows[row_ok]] = t_mu[row_ok], t_w[row_ok]
+            acc = groups[ok]
+            coef[acc] += step[trial[ok]]
+            info[acc], ll[acc], objective[acc] = t_info[ok], t_ll[ok], t_obj[ok]
+            trial = trial[~ok]
+            if trial.size == 0:
+                break
+            step[trial] /= 2.0
+    return GlmFit(coef=coef, fitted_mean=mu, converged=converged,
+                  iterations=passes, deviance=-2.0 * ll)
+
+
+def pearson_dispersion(y, mu, family: Family, r, starts=None):
     """Pearson dispersion ``sum (y-mu)^2/V(mu) / (n - r)``.
 
-    Returns None when ``n <= r`` (no residual degrees of freedom; such a
-    group contributes zero weight to dispersion pooling).
+    None when ``n <= r`` (no residual degrees of freedom; such a group
+    contributes zero weight to dispersion pooling). With ``starts`` (and
+    ``r`` per group) the rows are stacked groups as for :func:`fit_glm`,
+    and the result is a list with one value per group.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    n = y.shape[0]
-    if n <= r:
-        return None
-    pearson = np.sum((y - mu) ** 2 / family.variance(mu))
-    return float(pearson / (n - r))
+    stack = _Stack.make(y.shape[0], 1, starts, None)
+    pearson = np.add.reduceat((y - mu) ** 2 / family.variance(mu), stack.starts)
+    df = stack.sizes - np.asarray(r)
+    out = [float(s / d) if d > 0 else None for s, d in zip(pearson, df)]
+    return out if starts is not None else out[0]
 
 
-def unscaled_precision(F0: np.ndarray, mu: np.ndarray, family: Family) -> np.ndarray:
+def unscaled_precision(F0, mu, family: Family, starts=None, ranks=None):
     """Plug-in unscaled precision ``F0.T @ diag(lam(mu)) @ F0``.
 
-    For the gaussian family (lam = 1) this is exactly ``F0.T @ F0``.
+    For the gaussian family (lam = 1) this is exactly ``F0.T @ F0``. With
+    ``starts`` the rows are stacked groups as for :func:`fit_glm`, and the
+    result is the (M, k, k) stack with the identity in each padded block,
+    unchecked (see :func:`singular_precision`). For one group a numerically
+    singular precision raises DegeneratePrecisionError.
     """
     F0 = np.asarray(F0, dtype=float)
-    lam = family.working_weight(mu)
-    P = F0.T @ (F0 * lam[:, None])
-    P = (P + P.T) / 2.0
-    w = np.linalg.eigvalsh(P)
-    if w[-1] <= 0.0 or w[0] <= np.finfo(float).eps * P.shape[0] * w[-1]:
-        raise DegeneratePrecisionError(
-            "plug-in precision is numerically singular "
-            f"(eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    return P
+    n, k = F0.shape
+    P = _information(F0, family.working_weight(mu),
+                     _Stack.make(n, k, starts, ranks))
+    if starts is not None:
+        return P
+    problem = singular_precision(P, [k])[0]
+    if problem:
+        raise DegeneratePrecisionError(problem)
+    return P[0]
+
+
+def singular_precision(P, ranks) -> list:
+    """For each precision in the stack, the reason its leading r x r block
+    is numerically singular, or None when it is not."""
+    out = [None] * len(P)
+    ranks = np.asarray(ranks)
+    for r in np.unique(ranks):
+        sel = np.flatnonzero(ranks == r)
+        w = np.linalg.eigvalsh(P[sel, :r, :r])
+        bad = (w[:, -1] <= 0.0) | (w[:, 0] <= np.finfo(float).eps * r * w[:, -1])
+        for i in np.flatnonzero(bad):
+            out[sel[i]] = ("plug-in precision is numerically singular "
+                           f"(eigenvalue range [{w[i, 0]:.3e}, {w[i, -1]:.3e}])")
+    return out

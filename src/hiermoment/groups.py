@@ -2,10 +2,13 @@
 
 Each group's raw data (y_i, X_i, Z_i) collapses to an orthonormal basis of the
 identifiable coefficient subspace, a rotated coefficient estimate, and an
-unscaled precision matrix. Groups are independent and are summarized one
-after another; the collected set is ordered by group id for reproducibility
-and also holds the summaries as zero-padded stacks, so every population sum
-over groups is one array operation.
+unscaled precision matrix. The only per-group loop is the compact SVD that
+decides each group's rank; the coefficient fit, the plug-in precisions and
+the Pearson dispersions are each one call on all groups stacked in group-id
+order (see :mod:`hiermoment.families`), and each group's result depends on
+its own rows only. The collected set is ordered by group id and also holds
+the summaries as zero-padded stacks, so every population sum over groups is
+one array operation.
 """
 
 from __future__ import annotations
@@ -15,20 +18,27 @@ from typing import Hashable
 
 import numpy as np
 
-from .data import GroupedDataset
+from .data import GroupData, GroupedDataset
 from .errors import (
     ConvergenceError,
     DegeneratePrecisionError,
     DispersionError,
     ZeroRankError,
 )
-from .families import Family, fit_glm, pearson_dispersion, unscaled_precision
+from .families import (
+    Family,
+    fit_glm,
+    pearson_dispersion,
+    singular_precision,
+    unscaled_precision,
+)
 from .linalg import compact_svd, sym
 
 __all__ = [
     "GroupSummary",
     "SummarySet",
     "summarize_group",
+    "summarize_groups",
     "pool_dispersion",
     "build_summary_set",
 ]
@@ -102,6 +112,72 @@ class SummarySet:
             object.__setattr__(self, name, value)
 
 
+def summarize_groups(groups, family: Family, rank_tol: float | None = None):
+    """Reduce groups' raw data to GroupSummary entries.
+
+    Each group's ``F = [X Z]`` gets its own compact SVD, for the rank
+    decision. The rotated designs ``F0 = U * d`` are then stacked in the
+    order of ``groups``, zero-padded to k = p + q columns, and fitted
+    together by one
+    :func:`fit_glm` call (Firth-penalized for binomial-logit); the plug-in
+    precisions and the Pearson dispersions are one stacked call each. A
+    gaussian group's precision is ``diag(d^2)``, exact in the SVD frame.
+
+    Returns
+    -------
+    summaries : list of GroupSummary
+        In the order of ``groups``.
+    skipped : list of (group id, HierMomentError)
+        Groups that could not be summarized: an all-zero design
+        (ZeroRankError), a fit that did not converge (ConvergenceError) or a
+        numerically singular plug-in precision (DegeneratePrecisionError).
+    """
+    if not groups:
+        return [], []
+    p = groups[0].X.shape[1]
+    F0 = np.zeros((sum(g.n for g in groups), p + groups[0].Z.shape[1]))
+    kept, skipped, lo = [], [], 0
+    for g in groups:
+        svd = compact_svd(np.hstack([g.X, g.Z]), rank_tol)
+        if svd.r == 0:
+            skipped.append((g.group_id,
+                            ZeroRankError("group design is all zero (rank 0)")))
+            continue
+        F0[lo:lo + g.n, :svd.r] = svd.U * svd.d
+        lo += g.n
+        kept.append((g, svd.d, svd.V))
+    if not kept:
+        return [], skipped
+    F0 = F0[:lo]
+    sizes = np.array([g.n for g, _, _ in kept])
+    starts = np.cumsum(sizes) - sizes
+    ranks = np.array([d.size for _, d, _ in kept])
+    y = np.concatenate([g.y for g, _, _ in kept])
+    fit = fit_glm(y, F0, family, starts=starts, ranks=ranks)
+    if family.name == "gaussian":
+        precision = [np.diag(d * d) for _, d, _ in kept]
+        problems = [None] * len(kept)
+    else:
+        stacked = unscaled_precision(F0, fit.fitted_mean, family, starts, ranks)
+        precision = [P[:r, :r] for P, r in zip(stacked, ranks)]
+        problems = singular_precision(stacked, ranks)
+    dispersion = [None] * len(kept) if family.dispersion_known else \
+        pearson_dispersion(y, fit.fitted_mean, family, ranks, starts)
+    summaries = []
+    for i, (g, d, V) in enumerate(kept):
+        if not fit.converged[i]:
+            skipped.append((g.group_id, ConvergenceError(
+                f"the fit did not converge in {fit.iterations} iterations")))
+        elif problems[i] is not None:
+            skipped.append((g.group_id, DegeneratePrecisionError(problems[i])))
+        else:
+            summaries.append(GroupSummary(
+                group_id=g.group_id, n=g.n, r=d.size, V1=V[:p], V2=V[p:],
+                theta_rot=fit.coef[i, :d.size], precision=precision[i],
+                dispersion=dispersion[i]))
+    return summaries, skipped
+
+
 def summarize_group(
     y: np.ndarray,
     X: np.ndarray,
@@ -110,11 +186,8 @@ def summarize_group(
     rank_tol: float | None = None,
     group_id: Hashable = None,
 ) -> GroupSummary:
-    """Reduce one group's raw data to a GroupSummary.
-
-    Builds ``F = [X Z]``, takes its compact SVD, fits the rotated coefficient
-    on ``F0 = U * d`` (Firth-penalized for binomial-logit), and records the
-    plug-in precision and, when estimable, the Pearson dispersion.
+    """Reduce one group's raw data to a GroupSummary: the one-group call of
+    :func:`summarize_groups`.
 
     Raises
     ------
@@ -122,35 +195,15 @@ def summarize_group(
         All-zero design (rank 0).
     ConvergenceError
         The group GLM fit did not converge.
+    DegeneratePrecisionError
+        The plug-in precision is numerically singular.
     """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    p, q = X.shape[1], Z.shape[1]
-    F = np.hstack([X, Z])
-    svd = compact_svd(F, rank_tol)
-    if svd.r == 0:
-        raise ZeroRankError("group design is all zero (rank 0)")
-    F0 = svd.U * svd.d
-    fit = fit_glm(y, F0, family, firth=(family.name != "gaussian"))
-    if family.name == "gaussian":
-        # The SVD frame makes the least-squares precision exactly diagonal.
-        precision = np.diag(svd.d * svd.d)
-    else:
-        precision = unscaled_precision(F0, fit.fitted_mean, family)
-    dispersion = None
-    if not family.dispersion_known:
-        dispersion = pearson_dispersion(y, fit.fitted_mean, family, svd.r)
-    return GroupSummary(
-        group_id=group_id,
-        n=y.shape[0],
-        r=svd.r,
-        V1=svd.V[:p],
-        V2=svd.V[p:],
-        theta_rot=fit.coef,
-        precision=precision,
-        dispersion=dispersion,
-    )
+    group = GroupData(group_id=group_id, y=np.asarray(y, dtype=float),
+                      X=np.asarray(X, dtype=float), Z=np.asarray(Z, dtype=float))
+    summaries, skipped = summarize_groups([group], family, rank_tol)
+    if skipped:
+        raise skipped[0][1]
+    return summaries[0]
 
 
 def pool_dispersion(summaries, family: Family) -> float:
@@ -184,20 +237,15 @@ def build_summary_set(
     family: Family,
     rank_tol: float | None = None,
 ) -> SummarySet:
-    """Summarize every group and pool dispersion.
+    """Summarize every group (see :func:`summarize_groups`) and pool
+    dispersion.
 
-    Groups whose fit fails are recorded in ``skipped`` (with the reason) and
-    excluded from all downstream sums. Summaries and skips are sorted by
-    group id, so the output does not depend on the order of the groups.
+    Groups that cannot be summarized are recorded in ``skipped`` (with the
+    reason) and excluded from all downstream sums. Summaries and skips are
+    sorted by group id, so the output does not depend on the order of the
+    groups.
     """
-    summaries, skipped = [], []
-    for g in dataset.groups:
-        try:
-            summaries.append(summarize_group(
-                g.y, g.X, g.Z, family, rank_tol=rank_tol, group_id=g.group_id
-            ))
-        except (ZeroRankError, ConvergenceError, DegeneratePrecisionError) as e:
-            skipped.append((g.group_id, str(e)))
+    summaries, skipped = summarize_groups(dataset.groups, family, rank_tol)
     summaries.sort(key=lambda s: s.group_id)
     skipped.sort(key=lambda e: e[0])
     phi = pool_dispersion(summaries, family)
@@ -208,5 +256,5 @@ def build_summary_set(
         pooled_dispersion=phi,
         rho=int(sum(s.r for s in summaries)),
         n_obs=int(sum(s.n for s in summaries)),
-        skipped=tuple(skipped),
+        skipped=tuple((gid, str(e)) for gid, e in skipped),
     )

@@ -12,14 +12,9 @@ from scipy.special import expit
 from .combine import FitOptions, MomentFit, fit_moment
 from .data import GroupData, GroupedDataset
 from .ebayes import posterior_set, predict_grouped
-from .errors import (
-    ConvergenceError,
-    DegeneratePrecisionError,
-    HierMomentError,
-    ZeroRankError,
-)
+from .errors import HierMomentError
 from .families import Family, fit_glm
-from .groups import summarize_group
+from .groups import summarize_groups
 from .linalg import compact_svd
 
 __all__ = [
@@ -224,7 +219,7 @@ def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
     F = np.hstack([X, Z])
     svd = compact_svd(F)
     F0 = svd.U * svd.d
-    fit = fit_glm(y, F0, family, firth=(family.name != "gaussian"))
+    fit = fit_glm(y, F0, family)
     return GlobalFit(coef=svd.V @ fit.coef, p=dataset.p, q=dataset.q)
 
 
@@ -249,21 +244,16 @@ class LocalFit:
 def fit_local(dataset: GroupedDataset, family: Family) -> LocalFit:
     """Fit each group separately by penalized maximum likelihood.
 
-    Uses the same rank-reduced Firth machinery as the group summaries; each
-    group's coefficient is reconstructed into the full [X Z] space. Groups
-    whose fit fails predict through a zero coefficient.
+    Uses the group summaries' rank-reduced Firth fit, run on all groups at
+    once; each group's coefficient is reconstructed into the full [X Z]
+    space. Groups whose summary fails predict through a zero coefficient.
     """
-    coefs = {}
-    failed = []
-    for g in dataset.groups:
-        try:
-            s = summarize_group(g.y, g.X, g.Z, family, group_id=g.group_id)
-        except (ZeroRankError, ConvergenceError, DegeneratePrecisionError):
-            failed.append(g.group_id)
-            continue
-        coefs[g.group_id] = np.concatenate([s.V1, s.V2]) @ s.theta_rot
+    summaries, _ = summarize_groups(dataset.groups, family)
+    coefs = {s.group_id: np.concatenate([s.V1, s.V2]) @ s.theta_rot
+             for s in summaries}
     return LocalFit(coefs=coefs, p=dataset.p, q=dataset.q,
-                    failed=tuple(failed))
+                    failed=tuple(g.group_id for g in dataset.groups
+                                 if g.group_id not in coefs))
 
 
 @dataclass(frozen=True)

@@ -222,8 +222,7 @@ def _penalized_negloglik(a, b, x, y):
 def test_c06_separated_logistic_grid_oracle():
     x = np.array([-1.0, -1.0, 1.0, 1.0])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    fit = fit_glm(y, np.column_stack([np.ones(4), x]), BINOMIAL_LOGIT,
-                  firth=True)
+    fit = fit_glm(y, np.column_stack([np.ones(4), x]), BINOMIAL_LOGIT)
     assert fit.converged
 
     ca = cb = 0.0

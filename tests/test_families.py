@@ -15,7 +15,7 @@ import pytest
 import scipy.optimize
 from scipy.special import expit
 
-from hiermoment.errors import ConvergenceError, DegeneratePrecisionError
+from hiermoment.errors import DegeneratePrecisionError
 from hiermoment.families import (
     BINOMIAL_LOGIT,
     GAUSSIAN,
@@ -42,23 +42,16 @@ def _penalized_negloglik(coef, y, F0, firth):
     return -ll
 
 
-def _optimize(y, F0, firth):
+def _optimize(y, F0):
+    """Jeffreys-penalized estimate by BFGS on the independent objective."""
     res = scipy.optimize.minimize(
         _penalized_negloglik,
         np.zeros(F0.shape[1]),
-        args=(y, F0, firth),
+        args=(y, F0, True),
         method="BFGS",
         options={"gtol": 1e-10, "maxiter": 500},
     )
     return res.x
-
-
-def _plain_coef(y, F0):
-    """Coefficient reached by unpenalized IRLS, converged or not."""
-    try:
-        return fit_glm(y, F0, BINOMIAL_LOGIT, max_iter=200).coef
-    except ConvergenceError as exc:
-        return exc.fit.coef
 
 
 class TestFamilyBasics:
@@ -120,25 +113,9 @@ class TestLogisticFit:
         fit = fit_glm(y, F0, BINOMIAL_LOGIT)
         np.testing.assert_allclose(fit.coef, [0.0, 0.0], atol=1e-12)
 
-    def test_matches_optimizer(self):
-        rng = np.random.default_rng(42)
-        F0 = np.column_stack([np.ones(60), rng.normal(size=60)])
-        y = (rng.random(60) < expit(0.5 - F0[:, 1])).astype(float)
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT)
-        np.testing.assert_allclose(fit.coef, _optimize(y, F0, firth=False),
-                                   atol=1e-5)
-
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             fit_glm(np.array([0.0, 2.0]), np.ones((2, 1)), BINOMIAL_LOGIT)
-
-    def test_separation_diverges_without_penalty(self):
-        """Separated data has no MLE. The iterate runs off toward infinity;
-        the fit either stops with an oversized coefficient (the score vanishes
-        in the saturated tail) or fails to converge carrying one."""
-        F0 = np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 1.0]])
-        y = np.array([0.0, 0.0, 1.0, 1.0])
-        assert np.linalg.norm(_plain_coef(y, F0)) > 20
 
 
 class TestFirthFit:
@@ -148,7 +125,7 @@ class TestFirthFit:
         coefficients are (-log 5, 2 log 5)."""
         F0 = np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 1.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT, firth=True)
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT)
         assert fit.converged
         np.testing.assert_allclose(fit.coef, [-LN5, 2 * LN5], atol=1e-4)
         np.testing.assert_allclose(fit.fitted_mean,
@@ -156,7 +133,7 @@ class TestFirthFit:
 
     def test_intercept_only_all_ones(self):
         # stationarity: 4(1-mu) + 4*(1/4)*(1/2-mu) = 0  =>  mu = 9/10
-        fit = fit_glm(np.ones(4), np.ones((4, 1)), BINOMIAL_LOGIT, firth=True)
+        fit = fit_glm(np.ones(4), np.ones((4, 1)), BINOMIAL_LOGIT)
         np.testing.assert_allclose(fit.coef, [LN9], atol=1e-6)
 
     def test_matches_optimizer(self):
@@ -164,13 +141,44 @@ class TestFirthFit:
         F0 = np.column_stack([np.ones(40), rng.normal(size=40),
                               rng.normal(size=40)])
         y = (rng.random(40) < expit(F0 @ np.array([-0.3, 1.0, -0.7]))).astype(float)
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT, firth=True)
-        np.testing.assert_allclose(fit.coef, _optimize(y, F0, firth=True),
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT)
+        np.testing.assert_allclose(fit.coef, _optimize(y, F0),
                                    atol=1e-5)
 
+    def test_stacked_mixed_ranks_match_optimizer(self):
+        """One stacked fit of groups of every awkward shape, zero-padded to
+        k = 4 columns, matches a per-group BFGS fit; padded coefficients
+        are exactly 0."""
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=8)
+        cases = [  # (design, response)
+            (np.array([[1.3]]), np.array([1.0])),                 # singleton
+            (rng.normal(size=(3, 3)), np.array([0.0, 1.0, 1.0])),  # n < k
+            (np.column_stack([np.ones(8), x]), (x > 0).astype(float)),  # separated
+            (rng.normal(size=(6, 3)), np.ones(6)),                 # all ones
+            (rng.normal(size=(10, 2)), (rng.random(10) < 0.5).astype(float)),
+            (rng.normal(size=(30, 4)), (rng.random(30) < 0.4).astype(float)),
+        ]
+        k = 4
+        sizes = np.array([F.shape[0] for F, _ in cases])
+        ranks = np.array([F.shape[1] for F, _ in cases])
+        starts = np.cumsum(sizes) - sizes
+        F0 = np.zeros((sizes.sum(), k))
+        for lo, (F, _) in zip(starts, cases):
+            F0[lo:lo + F.shape[0], :F.shape[1]] = F
+        y = np.concatenate([v for _, v in cases])
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT, starts=starts, ranks=ranks)
+        assert fit.converged.all()
+        for i, (F, v) in enumerate(cases):
+            r = F.shape[1]
+            np.testing.assert_allclose(fit.coef[i, :r], _optimize(v, F),
+                                       atol=1e-6)
+            assert np.all(fit.coef[i, r:] == 0.0)
+
     def test_finite_under_random_separation(self):
-        """On separated data the penalized estimate stays moderate while the
-        unpenalized iterate blows past the same bound."""
+        """On separated data the penalized estimate stays moderate, though
+        the unpenalized likelihood keeps rising along the separating
+        direction, past the same bound."""
         rng = np.random.default_rng(23)
         for _ in range(10):
             n = int(rng.integers(6, 21))
@@ -180,17 +188,19 @@ class TestFirthFit:
             y = (F0 @ a > 0).astype(float)
             if y.min() == y.max():
                 continue
-            fit = fit_glm(y, F0, BINOMIAL_LOGIT, firth=True)
+            fit = fit_glm(y, F0, BINOMIAL_LOGIT)
             assert fit.converged
             assert np.linalg.norm(fit.coef) < 20
-            assert np.linalg.norm(_plain_coef(y, F0)) > 20
+            far = 20.0 * a / np.linalg.norm(a)
+            assert (_penalized_negloglik(2.0 * far, y, F0, False)
+                    < _penalized_negloglik(far, y, F0, False))
 
     def test_penalized_score_small_at_solution(self):
         """Recompute the modified score from scratch at the returned coef."""
         rng = np.random.default_rng(11)
         F0 = np.column_stack([np.ones(30), rng.normal(size=30)])
         y = (rng.random(30) < 0.4).astype(float)
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT, firth=True, tol=1e-8)
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT, tol=1e-8)
         mu = expit(F0 @ fit.coef)
         W = mu * (1 - mu)
         info = F0.T @ (F0 * W[:, None])

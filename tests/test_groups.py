@@ -25,6 +25,7 @@ from hiermoment.groups import (
     pool_dispersion,
     summarize_group,
 )
+from hiermoment.simulate import gen_replicate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -242,22 +243,44 @@ class TestBuildSummarySet:
     def test_input_block_order_invariance(self):
         """Groups presented in a different long-format order give bitwise
         identical summaries and posteriors (rows within each group keep their
-        order)."""
-        rng = np.random.default_rng(37)
-        y, X, Z, ids = _random_dataset(rng, M=8)
-        order = np.argsort(ids % 3, kind="stable")  # interleave group blocks
-        ds_a = GroupedDataset.from_long(y, X, Z, ids)
-        ds_b = GroupedDataset.from_long(y[order], X[order], Z[order],
-                                        ids[order])
-        _assert_same_set(build_summary_set(ds_a, GAUSSIAN),
-                         build_summary_set(ds_b, GAUSSIAN))
-        pa = posterior_set(fit_moment(ds_a, GAUSSIAN))
-        pb = posterior_set(fit_moment(ds_b, GAUSSIAN))
-        assert len(pa.entries) == len(pb.entries) == 8
-        for ea, eb in zip(pa.entries, pb.entries):
-            assert ea.group_id == eb.group_id
-            assert np.array_equal(ea.mean, eb.mean)
-            assert np.array_equal(ea.cov, eb.cov)
+        order), for both families."""
+        for family in (GAUSSIAN, BINOMIAL_LOGIT):
+            rng = np.random.default_rng(37)
+            y, X, Z, ids = _random_dataset(rng, M=8, family=family)
+            order = np.argsort(ids % 3, kind="stable")  # interleave blocks
+            ds_a = GroupedDataset.from_long(y, X, Z, ids)
+            ds_b = GroupedDataset.from_long(y[order], X[order], Z[order],
+                                            ids[order])
+            _assert_same_set(build_summary_set(ds_a, family),
+                             build_summary_set(ds_b, family))
+            pa = posterior_set(fit_moment(ds_a, family))
+            pb = posterior_set(fit_moment(ds_b, family))
+            assert len(pa.entries) == len(pb.entries) == 8
+            for ea, eb in zip(pa.entries, pb.entries):
+                assert ea.group_id == eb.group_id
+                assert np.array_equal(ea.mean, eb.mean)
+                assert np.array_equal(ea.cov, eb.cov)
+
+    def test_logit_groups_all_summarized_at_score_zero(self):
+        """No logit group is dropped by the solver, and each group's Firth
+        score, recomputed from its raw rows at the fitted coefficient, is
+        within the 1e-8 stopping rule, scaled by the column scale."""
+        ds, _ = gen_replicate(2000, 40000, 3, 3, BINOMIAL_LOGIT, seed=1)
+        fit = fit_moment(ds, BINOMIAL_LOGIT)
+        assert fit.summary_set.skipped == ()
+        assert len(fit.summary_set.summaries) == ds.n_groups
+        rec = fit.scale_record
+        scales = np.concatenate([rec.x_scale, rec.z_scale])
+        raw = {g.group_id: g for g in ds.groups}
+        for s in fit.summary_set.summaries:
+            g = raw[s.group_id]
+            F = np.hstack([g.X, g.Z])
+            mu = expit(F @ ((np.vstack([s.V1, s.V2]) @ s.theta_rot) / scales))
+            w = np.clip(mu * (1.0 - mu), 1e-10, None)
+            U = np.linalg.svd(F * np.sqrt(w)[:, None], full_matrices=False)[0]
+            h = np.sum(U[:, :s.r] ** 2, axis=1)
+            score = F.T @ (g.y - mu + h * (0.5 - mu))
+            assert np.linalg.norm(score) <= 1e-8 * scales.max(), s.group_id
 
     def test_binomial_pooled_dispersion_is_one(self):
         rng = np.random.default_rng(41)
