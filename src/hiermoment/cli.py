@@ -113,6 +113,11 @@ def _numeric_column(path, header, rows, col):
                 f"{path}: line {i + 2}: column {col!r}: "
                 f"cannot parse {row[j]!r} as a number"
             ) from None
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise _InputError(f"{path}: line {i + 2}: column {col!r}: "
+                          f"{rows[i][j]!r} is not a finite number")
     return out
 
 
@@ -160,6 +165,12 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def _write_fit_artifact(path, args, fit, fixed_names, random_names):
     sset = fit.summary_set
+    for name in ("phi", "omega2_min_eig", "beta", "sigma", "sigma_raw",
+                 "bias_B", "omega"):
+        if not np.all(np.isfinite(getattr(fit, name))):
+            raise _InputError(
+                f"{name} is not finite in the original predictor units; "
+                "rescale the predictor columns (no artifact written)")
     lines = [
         "format: hiermoment-fit 1",
         f"family: {args.family}",
@@ -169,7 +180,7 @@ def _write_fit_artifact(path, args, fit, fixed_names, random_names):
         f"response_col: {args.response_col}",
         f"fixed_cols: {','.join(fixed_names)}",
         f"random_cols: {','.join(random_names)}",
-        f"n_groups: {len(sset.summaries)}",
+        f"n_groups: {len(sset.ids)}",
         f"n_obs: {sset.n_obs}",
         f"rho: {fit.rho}",
         f"phi: {fit.phi!r}",
@@ -253,8 +264,9 @@ def _read_posteriors(path, q) -> PosteriorSet:
     return PosteriorSet(entries=entries, q=q)
 
 
-def _cmd_fit(args) -> int:
-    family = get_family(args.family)
+def _read_dataset(args):
+    """The fit input as a dataset, with the predictor names. The parsed text
+    and the unsorted columns are freed on return, before the fit."""
     header, rows = _read_table(args.input)
     fixed, random = _check_columns(args, header)
     y = _numeric_column(args.input, header, rows, args.response_col)
@@ -262,7 +274,12 @@ def _cmd_fit(args) -> int:
     Z, random_names = _design(args.input, header, rows, random, not args.no_intercept)
     gidx = header.index(args.group_col)
     ids = [row[gidx] for row in rows]
-    dataset = GroupedDataset.from_long(y, X, Z, ids)
+    return GroupedDataset.from_long(y, X, Z, ids), fixed_names, random_names
+
+
+def _cmd_fit(args) -> int:
+    family = get_family(args.family)
+    dataset, fixed_names, random_names = _read_dataset(args)
     options = FitOptions(
         scheme=args.weights, refits=args.refits, rank_tol=args.rank_tol
     )
@@ -272,7 +289,7 @@ def _cmd_fit(args) -> int:
         _write_posteriors(args.posteriors_out, posterior_set(fit))
     skipped = len(fit.summary_set.skipped)
     print(
-        f"fit {len(fit.summary_set.summaries)} groups"
+        f"fit {len(fit.summary_set.ids)} groups"
         + (f" ({skipped} skipped)" if skipped else "")
         + f", {fit.summary_set.n_obs} observations; wrote {args.out}"
     )
@@ -310,7 +327,7 @@ def _cmd_predict(args) -> int:
         # each group.
         order = np.argsort(ids, kind="stable")
         mu[order] = np.concatenate(mu_g)
-        unseen[order] = np.repeat(unseen_g, [g.n for g in dataset.groups])
+        unseen[order] = np.repeat(unseen_g, dataset.sizes)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

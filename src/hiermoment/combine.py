@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupData, GroupedDataset
+from .data import GroupedDataset
 from .errors import SingularOmegaError
 from .families import Family
 from .groups import SummarySet, build_summary_set
@@ -93,7 +93,7 @@ def make_weights(summary_set: SummarySet, spec: WeightSpec) -> np.ndarray:
     """
     if spec.scheme == "unweighted":
         return np.tile(np.eye(summary_set.p + summary_set.q),
-                       (len(summary_set.summaries), 1, 1))
+                       (len(summary_set.ids), 1, 1))
     if spec.scheme == "weighted":
         return summary_set.precision.copy()
     if spec.scheme != "semiweighted":
@@ -220,31 +220,27 @@ def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
     estimates by the inverse Z scales).
     """
 
-    def _column_scales(blocks):
-        F = np.concatenate(blocks)
+    def _column_scales(F):
         lo, hi = F.min(axis=0), F.max(axis=0)
         # Square each column over its largest magnitude, so the sum of
         # squares neither overflows nor underflows at extreme scales.
         amax = np.maximum(np.abs(lo), np.abs(hi))
         unit = np.where(amax > 0.0, amax, 1.0)
-        F /= unit
+        F = F / unit
         rms = unit * np.sqrt(np.einsum("ij,ij->j", F, F) / F.shape[0])
         constant = lo == hi
         scale = np.where(constant, 1.0, rms)
         zero = constant & (lo == 0.0)
         return scale, zero
 
-    x_scale, x_zero = _column_scales([g.X for g in dataset.groups])
-    z_scale, z_zero = _column_scales([g.Z for g in dataset.groups])
+    x_scale, x_zero = _column_scales(dataset.X)
+    z_scale, z_zero = _column_scales(dataset.Z)
     record = ScaleRecord(x_scale=x_scale, z_scale=z_scale,
                          x_zero=x_zero, z_zero=z_zero)
     if np.all(x_scale == 1.0) and np.all(z_scale == 1.0):
         return dataset, record
-    groups = tuple(
-        GroupData(group_id=g.group_id, y=g.y, X=g.X / x_scale, Z=g.Z / z_scale)
-        for g in dataset.groups
-    )
-    return GroupedDataset(groups=groups, p=dataset.p, q=dataset.q), record
+    return dataset.with_columns(dataset.X / x_scale,
+                                dataset.Z / z_scale), record
 
 
 @dataclass(frozen=True)
@@ -369,10 +365,10 @@ def kappa_check(
     sigma = np.asarray(sigma, dtype=float)
     V2 = summary_set.V2
     mids = V2.swapaxes(1, 2) @ sigma @ V2 + phi * summary_set.precision_inv
-    vals = np.empty(len(summary_set.summaries))
-    for i, s in enumerate(summary_set.summaries):
-        Wh = sym_sqrt(weights[i, :s.r, :s.r])
-        vals[i] = np.linalg.eigvalsh(sym(Wh @ mids[i, :s.r, :s.r] @ Wh))[-1]
+    vals = np.empty(len(summary_set.ids))
+    for i, r in enumerate(summary_set.r.tolist()):
+        Wh = sym_sqrt(weights[i, :r, :r])
+        vals[i] = np.linalg.eigvalsh(sym(Wh @ mids[i, :r, :r] @ Wh))[-1]
     return vals
 
 
@@ -385,16 +381,14 @@ def kappa_bound(
     """Scheme-specific uniform bound on the :func:`kappa_check` values."""
     sigma = np.asarray(sigma, dtype=float)
     sig_norm = np.linalg.norm(sigma, 2)
+    ranks = summary_set.r.tolist()
     if spec.scheme == "unweighted":
-        worst = max(
-            np.linalg.norm(P[:s.r, :s.r], 2)
-            for s, P in zip(summary_set.summaries, summary_set.precision_inv)
-        )
+        worst = max(np.linalg.norm(P[:r, :r], 2)
+                    for P, r in zip(summary_set.precision_inv, ranks))
         return float(sig_norm + phi * worst)
     if spec.scheme == "weighted":
-        worst = max(
-            np.linalg.norm(s.precision, 2) for s in summary_set.summaries
-        )
+        worst = max(np.linalg.norm(P[:r, :r], 2)
+                    for P, r in zip(summary_set.precision, ranks))
         return float(sig_norm * worst + phi)
     if spec.scheme != "semiweighted":
         raise ValueError(f"unknown weight scheme {spec.scheme!r}")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import Hashable
 
 import numpy as np
@@ -39,13 +41,20 @@ class PosteriorSet:
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index.update({e.group_id: e for e in self.entries})
+        self._index.update(zip(map(attrgetter("group_id"), self.entries),
+                               range(len(self.entries))))
 
     def get(self, group_id) -> GroupPosterior | None:
-        return self._index.get(group_id)
+        i = self._index.get(group_id)
+        return None if i is None else self.entries[i]
+
+    def rows(self, group_ids) -> np.ndarray:
+        """Position of each id's entry, -1 for ids without one."""
+        return np.fromiter(map(self._index.get, group_ids, repeat(-1)),
+                           np.intp, len(group_ids))
 
     def means(self) -> np.ndarray:
-        return np.array([e.mean for e in self.entries])
+        return np.array(list(map(attrgetter("mean"), self.entries)))
 
 
 def _posteriors(V1, V2, theta, precision, beta, sigma, phi):
@@ -106,10 +115,8 @@ def posterior_set(fit: MomentFit) -> PosteriorSet:
         fit.beta_scaled, fit.sigma_scaled, fit.phi,
     )
     zs = fit.scale_record.z_scale
-    entries = tuple(
-        GroupPosterior(group_id=s.group_id, mean=m, cov=c)
-        for s, m, c in zip(sset.summaries, means / zs, covs / np.outer(zs, zs))
-    )
+    entries = tuple(map(GroupPosterior, sset.ids, means / zs,
+                        covs / np.outer(zs, zs)))
     return PosteriorSet(entries=entries, q=sset.q)
 
 
@@ -136,15 +143,17 @@ def predict_grouped(
     """Predicted means per group of ``dataset``, using each group's posterior
     mean random effect (zero for groups absent from ``posteriors``).
 
-    Returns the per-group prediction arrays and a per-group flag marking
-    unseen groups (population-level prediction).
+    One linear predictor is computed over the dataset's long columns, with
+    the posterior means gathered by group. Returns the per-group prediction
+    arrays (views of one long array) and a per-group flag marking unseen
+    groups (population-level prediction).
     """
-    mu = []
-    unseen = []
-    zero = np.zeros(posteriors.q)
-    for g in dataset.groups:
-        entry = posteriors.get(g.group_id)
-        u = zero if entry is None else entry.mean
-        unseen.append(entry is None)
-        mu.append(predict_mean(g.X, g.Z, beta, u, family))
-    return mu, unseen
+    where = posteriors.rows(dataset.ids)
+    # Row -1, the last, is the zero effect of an unseen group.
+    means = np.zeros((len(posteriors.entries) + 1, posteriors.q))
+    if posteriors.entries:
+        means[:-1] = posteriors.means()
+    u = np.repeat(means[where], dataset.sizes, axis=0)
+    eta = dataset.X @ np.asarray(beta, dtype=float) \
+        + np.einsum("ij,ij->i", dataset.Z, u)
+    return dataset.split(family.inv_link(eta)), (where < 0).tolist()

@@ -414,15 +414,18 @@ def pearson_dispersion(y, mu, family: Family, r, starts=None):
     None when ``n <= r`` (no residual degrees of freedom; such a group
     contributes zero weight to dispersion pooling). With ``starts`` (and
     ``r`` per group) the rows are stacked groups as for :func:`fit_glm`,
-    and the result is a list with one value per group.
+    and the result is an array with one value per group, NaN where
+    ``n <= r``.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     stack = _Stack.make(y.shape[0], 1, starts, None)
     pearson = np.add.reduceat((y - mu) ** 2 / family.variance(mu), stack.starts)
     df = stack.sizes - np.asarray(r)
-    out = [float(s / d) if d > 0 else None for s, d in zip(pearson, df)]
-    return out if starts is not None else out[0]
+    out = np.divide(pearson, df, out=np.full(df.shape, np.nan), where=df > 0)
+    if starts is not None:
+        return out
+    return float(out[0]) if df[0] > 0 else None
 
 
 def unscaled_precision(F0, mu, family: Family, starts=None, ranks=None):
@@ -440,22 +443,22 @@ def unscaled_precision(F0, mu, family: Family, starts=None, ranks=None):
                      _Stack.make(n, k, starts, ranks))
     if starts is not None:
         return P
-    problem = singular_precision(P, [k])[0]
+    problem = singular_precision(P, [k])
     if problem:
-        raise DegeneratePrecisionError(problem)
+        raise DegeneratePrecisionError(problem[0])
     return P[0]
 
 
-def singular_precision(P, ranks) -> list:
-    """For each precision in the stack, the reason its leading r x r block
-    is numerically singular, or None when it is not."""
-    out = [None] * len(P)
+def singular_precision(P, ranks) -> dict:
+    """For each precision in the stack whose leading r x r block is
+    numerically singular, the reason, keyed by its position in the stack."""
+    out = {}
     ranks = np.asarray(ranks)
     for r in np.unique(ranks):
         sel = np.flatnonzero(ranks == r)
         w = np.linalg.eigvalsh(P[sel, :r, :r])
         bad = (w[:, -1] <= 0.0) | (w[:, 0] <= np.finfo(float).eps * r * w[:, -1])
         for i in np.flatnonzero(bad):
-            out[sel[i]] = ("plug-in precision is numerically singular "
-                           f"(eigenvalue range [{w[i, 0]:.3e}, {w[i, -1]:.3e}])")
+            out[int(sel[i])] = ("plug-in precision is numerically singular "
+                                 f"(eigenvalue range [{w[i, 0]:.3e}, {w[i, -1]:.3e}])")
     return out

@@ -2,18 +2,21 @@
 
 Each group's raw data (y_i, X_i, Z_i) collapses to an orthonormal basis of the
 identifiable coefficient subspace, a rotated coefficient estimate, and an
-unscaled precision matrix. The only per-group loop is the compact SVD that
-decides each group's rank; the coefficient fit, the plug-in precisions and
-the Pearson dispersions are each one call on all groups stacked in group-id
-order (see :mod:`hiermoment.families`), and each group's result depends on
-its own rows only. The collected set is ordered by group id and also holds
-the summaries as zero-padded stacks, so every population sum over groups is
-one array operation.
+unscaled precision matrix. The groups are read straight from the dataset's
+long columns: one stacked :func:`compact_svd` call factors every group's
+``[X Z]`` block (bucketed by exact row count, see :mod:`hiermoment.linalg`),
+and the coefficient fit, the plug-in precisions and the Pearson dispersions
+are each one call on all groups stacked (see :mod:`hiermoment.families`).
+There is no loop over groups, and each group's result depends on its own
+rows only. The summaries are written directly into zero-padded stacks
+ordered by group id, so every population sum over groups is one array
+operation; per-group :class:`GroupSummary` views are built on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable
 
 import numpy as np
@@ -65,117 +68,164 @@ class GroupSummary:
     dispersion: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SummarySet:
-    """Group summaries in ascending group-id order plus pooled quantities.
+    """Group summaries as padded stacks, in ascending group-id order, plus
+    pooled quantities.
 
-    ``__post_init__`` also stores the M summaries as padded stacks with
-    k = p + q: ``V1 (M, p, k)``, ``V2 (M, q, k)``, ``theta (M, k)``,
-    ``precision (M, k, k)`` and its inverse ``precision_inv (M, k, k)``.
-    Group i fills the leading ``r_i`` directions. The padded directions
-    have zero V columns, zero theta and identity precision, so they add
-    exactly 0 to every sum over the stacks. The summaries are stored once:
-    after construction each one's arrays are views into the stacks.
+    With k = p + q, group i (key ``ids[i]``, ``n[i]`` rows, rank ``r[i]``)
+    fills the leading ``r[i]`` directions of ``V1 (M, p, k)``,
+    ``V2 (M, q, k)``, ``theta (M, k)`` and ``precision (M, k, k)``;
+    ``precision_inv`` is the inverse stack and ``dispersion (M,)`` holds the
+    groups' Pearson estimates (NaN where there is none). The padded
+    directions have zero V columns, zero theta and identity precision, so
+    they add exactly 0 to every sum over the stacks. ``summaries`` holds
+    per-group :class:`GroupSummary` views into the stacks, built on first
+    use. ``SummarySet(summaries, ...)`` stacks given summaries in the order
+    given.
     """
 
-    summaries: tuple[GroupSummary, ...]
     p: int
     q: int
     pooled_dispersion: float
     rho: int
     n_obs: int
     skipped: tuple[tuple[Hashable, str], ...]
-    V1: np.ndarray = field(init=False, repr=False, compare=False)
-    V2: np.ndarray = field(init=False, repr=False, compare=False)
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
-    precision: np.ndarray = field(init=False, repr=False, compare=False)
-    precision_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    ids: tuple = field(repr=False)
+    n: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
+    dispersion: np.ndarray = field(repr=False)
+    V1: np.ndarray = field(repr=False)
+    V2: np.ndarray = field(repr=False)
+    theta: np.ndarray = field(repr=False)
+    precision: np.ndarray = field(repr=False)
+    precision_inv: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        M, k = len(self.summaries), self.p + self.q
-        V1 = np.zeros((M, self.p, k))
-        V2 = np.zeros((M, self.q, k))
-        theta = np.zeros((M, k))
-        precision = np.tile(np.eye(k), (M, 1, 1))
-        views = []
-        for i, s in enumerate(self.summaries):
-            V1[i, :, :s.r] = s.V1
-            V2[i, :, :s.r] = s.V2
-            theta[i, :s.r] = s.theta_rot
-            precision[i, :s.r, :s.r] = s.precision
-            views.append(replace(
-                s, V1=V1[i, :, :s.r], V2=V2[i, :, :s.r],
-                theta_rot=theta[i, :s.r], precision=precision[i, :s.r, :s.r]))
-        for name, value in [("summaries", tuple(views)), ("V1", V1), ("V2", V2),
-                            ("theta", theta), ("precision", precision),
-                            ("precision_inv", sym(np.linalg.inv(precision)))]:
+    def __init__(self, summaries, p, q, pooled_dispersion, rho, n_obs,
+                 skipped):
+        summaries = tuple(summaries)
+        k = p + q
+        r = np.fromiter((s.r for s in summaries), np.intp, len(summaries))
+        keep = np.arange(k) < r[:, None]
+        V = np.zeros((r.size, k, k))
+        theta = np.zeros((r.size, k))
+        precision = np.tile(np.eye(k), (r.size, 1, 1))
+        if summaries:
+            # Each group's entries land in its leading r x r positions, in
+            # row-major order.
+            V.swapaxes(1, 2)[keep] = np.concatenate(
+                [np.vstack([s.V1, s.V2]).T for s in summaries])
+            theta[keep] = np.concatenate([s.theta_rot for s in summaries])
+            precision[keep[:, :, None] & keep[:, None, :]] = np.concatenate(
+                [np.ravel(s.precision) for s in summaries])
+        self._fill(
+            ids=tuple(s.group_id for s in summaries),
+            n=np.fromiter((s.n for s in summaries), np.intp, r.size), r=r,
+            dispersion=np.array([s.dispersion for s in summaries], dtype=float),
+            V=V, theta=theta, precision=precision, p=p, q=q,
+            pooled_dispersion=pooled_dispersion, rho=rho, n_obs=n_obs,
+            skipped=tuple(skipped))
+
+    @classmethod
+    def _from_columns(cls, *, ids, n, r, dispersion, V, theta, precision, p,
+                      q, pooled_dispersion, skipped) -> "SummarySet":
+        self = cls.__new__(cls)
+        self._fill(ids=ids, n=n, r=r, dispersion=dispersion, V=V,
+                   theta=theta, precision=precision, p=p, q=q,
+                   pooled_dispersion=pooled_dispersion, rho=int(r.sum()),
+                   n_obs=int(n.sum()), skipped=skipped)
+        return self
+
+    def _fill(self, *, V, p, **values):
+        values.update(
+            p=p, V1=np.ascontiguousarray(V[:, :p]),
+            V2=np.ascontiguousarray(V[:, p:]),
+            precision_inv=sym(np.linalg.inv(values["precision"])))
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def summaries(self) -> tuple[GroupSummary, ...]:
+        return tuple(map(self._summary, range(len(self.ids))))
 
-def summarize_groups(groups, family: Family, rank_tol: float | None = None):
-    """Reduce groups' raw data to GroupSummary entries.
+    def _summary(self, i) -> GroupSummary:
+        r = int(self.r[i])
+        dispersion = float(self.dispersion[i])
+        return GroupSummary(
+            group_id=self.ids[i], n=int(self.n[i]), r=r,
+            V1=self.V1[i, :, :r], V2=self.V2[i, :, :r],
+            theta_rot=self.theta[i, :r], precision=self.precision[i, :r, :r],
+            dispersion=None if np.isnan(dispersion) else dispersion)
 
-    Each group's ``F = [X Z]`` gets its own compact SVD, for the rank
-    decision. The rotated designs ``F0 = U * d`` are then stacked in the
-    order of ``groups``, zero-padded to k = p + q columns, and fitted
-    together by one
-    :func:`fit_glm` call (Firth-penalized for binomial-logit); the plug-in
-    precisions and the Pearson dispersions are one stacked call each. A
-    gaussian group's precision is ``diag(d^2)``, exact in the SVD frame.
+
+def summarize_groups(dataset: GroupedDataset, family: Family,
+                     rank_tol: float | None = None):
+    """Reduce every group of ``dataset`` to its summary, as stacks.
+
+    One stacked :func:`compact_svd` of the long ``[X Z]`` columns decides
+    each group's rank, and rank-0 groups are dropped by a mask. The rotated
+    designs ``F0 = U * d`` (zero-padded to k = p + q columns) are fitted
+    together by one :func:`fit_glm` call (Firth-penalized for
+    binomial-logit); the plug-in precisions and the Pearson dispersions are
+    one stacked call each. A gaussian group's precision is ``diag(d^2)``,
+    exact in the SVD frame.
 
     Returns
     -------
-    summaries : list of GroupSummary
-        In the order of ``groups``.
+    columns : dict
+        The summarized groups, sorted by id (stably, so equal ids keep the
+        dataset order): ``ids``, ``n``, ``r``, ``dispersion`` and the padded
+        stacks ``V (M, k, k)``, ``theta`` and ``precision``, laid out as in
+        :class:`SummarySet`.
     skipped : list of (group id, HierMomentError)
-        Groups that could not be summarized: an all-zero design
-        (ZeroRankError), a fit that did not converge (ConvergenceError) or a
-        numerically singular plug-in precision (DegeneratePrecisionError).
+        Groups that could not be summarized, sorted by id: an all-zero
+        design (ZeroRankError), a fit that did not converge
+        (ConvergenceError) or a numerically singular plug-in precision
+        (DegeneratePrecisionError).
     """
-    if not groups:
-        return [], []
-    p = groups[0].X.shape[1]
-    F0 = np.zeros((sum(g.n for g in groups), p + groups[0].Z.shape[1]))
-    kept, skipped, lo = [], [], 0
-    for g in groups:
-        svd = compact_svd(np.hstack([g.X, g.Z]), rank_tol)
-        if svd.r == 0:
-            skipped.append((g.group_id,
-                            ZeroRankError("group design is all zero (rank 0)")))
-            continue
-        F0[lo:lo + g.n, :svd.r] = svd.U * svd.d
-        lo += g.n
-        kept.append((g, svd.d, svd.V))
-    if not kept:
-        return [], skipped
-    F0 = F0[:lo]
-    sizes = np.array([g.n for g, _, _ in kept])
-    starts = np.cumsum(sizes) - sizes
-    ranks = np.array([d.size for _, d, _ in kept])
-    y = np.concatenate([g.y for g, _, _ in kept])
-    fit = fit_glm(y, F0, family, starts=starts, ranks=ranks)
-    if family.name == "gaussian":
-        precision = [np.diag(d * d) for _, d, _ in kept]
-        problems = [None] * len(kept)
-    else:
-        stacked = unscaled_precision(F0, fit.fitted_mean, family, starts, ranks)
-        precision = [P[:r, :r] for P, r in zip(stacked, ranks)]
-        problems = singular_precision(stacked, ranks)
-    dispersion = [None] * len(kept) if family.dispersion_known else \
-        pearson_dispersion(y, fit.fitted_mean, family, ranks, starts)
-    summaries = []
-    for i, (g, d, V) in enumerate(kept):
-        if not fit.converged[i]:
-            skipped.append((g.group_id, ConvergenceError(
-                f"the fit did not converge in {fit.iterations} iterations")))
-        elif problems[i] is not None:
-            skipped.append((g.group_id, DegeneratePrecisionError(problems[i])))
+    k, sizes = dataset.p + dataset.q, dataset.sizes
+    svd = compact_svd(np.hstack([dataset.X, dataset.Z]), rank_tol,
+                      starts=dataset.offsets[:-1])
+    kept = np.flatnonzero(svd.r > 0)
+    reasons = {i: ZeroRankError("group design is all zero (rank 0)")
+               for i in np.flatnonzero(svd.r == 0).tolist()}
+    n, r, d = sizes[kept], svd.r[kept], svd.d[kept]
+    pad = np.arange(k) >= r[:, None]
+    theta = np.zeros((kept.size, k))
+    precision = np.zeros((kept.size, k, k))
+    dispersion = np.full(kept.size, np.nan)
+    if kept.size:
+        F0, y = svd.U, dataset.y
+        if reasons:
+            rows = np.repeat(svd.r > 0, sizes)
+            F0, y = F0[rows], y[rows]
+        F0 *= np.repeat(d, n, axis=0)
+        starts = np.cumsum(n) - n
+        fit = fit_glm(y, F0, family, starts=starts, ranks=r)
+        theta = np.where(pad, 0.0, fit.coef)
+        if family.name == "gaussian":
+            precision[:, np.arange(k), np.arange(k)] = np.where(pad, 1.0, d * d)
+            problems = {}
         else:
-            summaries.append(GroupSummary(
-                group_id=g.group_id, n=g.n, r=d.size, V1=V[:p], V2=V[p:],
-                theta_rot=fit.coef[i, :d.size], precision=precision[i],
-                dispersion=dispersion[i]))
-    return summaries, skipped
+            P = unscaled_precision(F0, fit.fitted_mean, family, starts, r)
+            problems = singular_precision(P, r)
+            precision = np.where(pad[:, :, None] | pad[:, None, :], np.eye(k), P)
+        if not family.dispersion_known:
+            dispersion = pearson_dispersion(y, fit.fitted_mean, family, r, starts)
+        for j in np.flatnonzero(~fit.converged).tolist():
+            reasons[int(kept[j])] = ConvergenceError(
+                f"the fit did not converge in {fit.iterations} iterations")
+        for j, problem in problems.items():
+            reasons.setdefault(int(kept[j]), DegeneratePrecisionError(problem))
+    sel = np.flatnonzero(~np.isin(kept, list(reasons)))
+    keys = list(map(dataset.ids.__getitem__, kept[sel].tolist()))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    sel = sel[np.array(order, dtype=np.intp)]
+    skipped = sorted(((dataset.ids[i], e) for i, e in sorted(reasons.items())),
+                     key=lambda e: e[0])
+    return dict(ids=tuple(map(keys.__getitem__, order)), n=n[sel], r=r[sel],
+                dispersion=dispersion[sel], V=svd.V[kept[sel]],
+                theta=theta[sel], precision=precision[sel]), skipped
 
 
 def summarize_group(
@@ -198,17 +248,20 @@ def summarize_group(
     DegeneratePrecisionError
         The plug-in precision is numerically singular.
     """
-    group = GroupData(group_id=group_id, y=np.asarray(y, dtype=float),
-                      X=np.asarray(X, dtype=float), Z=np.asarray(Z, dtype=float))
-    summaries, skipped = summarize_groups([group], family, rank_tol)
+    dataset = GroupedDataset([GroupData(group_id, y, X, Z)], np.shape(X)[1],
+                             np.shape(Z)[1])
+    columns, skipped = summarize_groups(dataset, family, rank_tol)
     if skipped:
         raise skipped[0][1]
-    return summaries[0]
+    return SummarySet._from_columns(
+        **columns, p=dataset.p, q=dataset.q, pooled_dispersion=float("nan"),
+        skipped=()).summaries[0]
 
 
-def pool_dispersion(summaries, family: Family) -> float:
-    """Pooled dispersion: residual-df-weighted average of group Pearson
-    estimates, or the family's known constant.
+def pool_dispersion(n, r, dispersion, family: Family) -> float:
+    """Pooled dispersion: the residual-df-weighted average of the groups'
+    Pearson estimates (NaN where a group has none), summed in group order,
+    or the family's known constant.
 
     Raises
     ------
@@ -217,19 +270,17 @@ def pool_dispersion(summaries, family: Family) -> float:
     """
     if family.dispersion_known:
         return float(family.dispersion)
-    num = 0.0
-    den = 0.0
-    for s in summaries:
-        if s.dispersion is not None:
-            df = s.n - s.r
-            num += df * s.dispersion
-            den += df
+    dispersion = np.asarray(dispersion, dtype=float)
+    has = ~np.isnan(dispersion)
+    df = (np.asarray(n) - np.asarray(r))[has]
+    den = int(df.sum())
     if den <= 0:
         raise DispersionError(
             "cannot estimate dispersion: no group has more observations than "
             "its design rank"
         )
-    return num / den
+    # A running sum adds the terms one after another, in group order.
+    return float(np.cumsum(df * dispersion[has])[-1] / den)
 
 
 def build_summary_set(
@@ -245,16 +296,9 @@ def build_summary_set(
     sorted by group id, so the output does not depend on the order of the
     groups.
     """
-    summaries, skipped = summarize_groups(dataset.groups, family, rank_tol)
-    summaries.sort(key=lambda s: s.group_id)
-    skipped.sort(key=lambda e: e[0])
-    phi = pool_dispersion(summaries, family)
-    return SummarySet(
-        summaries=tuple(summaries),
-        p=dataset.p,
-        q=dataset.q,
-        pooled_dispersion=phi,
-        rho=int(sum(s.r for s in summaries)),
-        n_obs=int(sum(s.n for s in summaries)),
-        skipped=tuple((gid, str(e)) for gid, e in skipped),
-    )
+    columns, skipped = summarize_groups(dataset, family, rank_tol)
+    phi = pool_dispersion(columns["n"], columns["r"], columns["dispersion"],
+                          family)
+    return SummarySet._from_columns(
+        **columns, p=dataset.p, q=dataset.q, pooled_dispersion=phi,
+        skipped=tuple((gid, str(e)) for gid, e in skipped))

@@ -1,6 +1,13 @@
 """Dense linear-algebra kernels: compact SVD with a rank decision, the
 symmetric-matrix coordinate basis, solves restricted to that subspace, and
-projection onto the positive semidefinite cone."""
+projection onto the positive semidefinite cone.
+
+:func:`compact_svd` also factors M stacked row blocks at once, like
+:func:`hiermoment.families.fit_glm`: the blocks are bucketed by their exact
+row count, and each bucket is one batched ``np.linalg.svd`` call, so no
+block is zero-padded and each block's factors are bitwise those of a
+one-matrix call.
+"""
 
 from __future__ import annotations
 
@@ -33,6 +40,9 @@ class CompactSvd:
         Orthonormal right singular vectors.
     r : int
         Numerical rank; zero yields empty factors.
+
+    The stacked form (see :func:`compact_svd` with ``starts``) holds the
+    same factors zero-padded to k directions, with ``r`` an (M,) array.
     """
 
     U: np.ndarray
@@ -41,7 +51,15 @@ class CompactSvd:
     r: int
 
 
-def compact_svd(F: np.ndarray, rank_tol: float | None = None) -> CompactSvd:
+# Largest number of matrix entries sent to one batched LAPACK call.
+_SVD_CHUNK = 1 << 16
+
+
+def compact_svd(
+    F: np.ndarray,
+    rank_tol: float | None = None,
+    starts: np.ndarray | None = None,
+) -> CompactSvd:
     """Compact SVD keeping only singular values above the rank threshold.
 
     Parameters
@@ -52,10 +70,23 @@ def compact_svd(F: np.ndarray, rank_tol: float | None = None) -> CompactSvd:
         Relative threshold; a singular value is retained when it exceeds
         ``rank_tol * max(n, k) * sigma_max``. Defaults to machine epsilon,
         the standard numerical-rank convention.
+    starts : ndarray of shape (M,), optional
+        First row of each of M stacked matrices: matrix i is
+        ``F[starts[i]:starts[i + 1]]``, each with its own threshold.
 
     Returns
     -------
     CompactSvd
+        For one matrix, the compact factors. With ``starts``, the stacked
+        factors zero-padded to k directions: ``U`` (n, k) holds each
+        matrix's left vectors in its own rows, ``d`` is (M, k), ``V`` is
+        (M, k, k) and ``r`` is (M,).
+
+    The matrices are bucketed by their exact row count and each bucket goes
+    to ``np.linalg.svd`` as one (m, n_i, k) stack, at most ``_SVD_CHUNK``
+    entries at a time. Every matrix of a bucket gets the same LAPACK call as
+    it would alone, so its factors are bitwise those of the one-matrix call
+    and depend on its own rows only.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[0] < 1 or F.shape[1] < 1:
@@ -64,19 +95,39 @@ def compact_svd(F: np.ndarray, rank_tol: float | None = None) -> CompactSvd:
         raise ValueError("matrix has non-finite entries")
     if rank_tol is None:
         rank_tol = float(np.finfo(F.dtype).eps)
-    U, d, Vt = np.linalg.svd(F, full_matrices=False)
-    smax = d[0] if d.size else 0.0
-    thresh = rank_tol * max(F.shape) * smax
-    r = int(np.count_nonzero(d > thresh))
-    U, d, V = U[:, :r], d[:r], Vt[:r].T
-    # Sign convention: largest-magnitude entry of each right singular vector
-    # is positive, so factors do not depend on the underlying LAPACK build.
-    for j in range(r):
-        lead = np.argmax(np.abs(V[:, j]))
-        if V[lead, j] < 0.0:
-            V[:, j] = -V[:, j]
-            U[:, j] = -U[:, j]
-    return CompactSvd(U=U, d=d, V=V, r=r)
+    N, k = F.shape
+    first = np.zeros(1, dtype=np.intp) if starts is None \
+        else np.asarray(starts, dtype=np.intp)
+    sizes = np.diff(first, append=N)
+    if first[0] != 0 or np.any(sizes < 1):
+        raise ValueError("starts must begin at 0 and increase strictly "
+                         "within the rows")
+    U, d, V = np.zeros((N, k)), np.zeros((first.size, k)), \
+        np.zeros((first.size, k, k))
+    for n in np.unique(sizes).tolist():
+        bucket = np.flatnonzero(sizes == n)
+        w, step = min(n, k), max(1, _SVD_CHUNK // (n * k))
+        for lo in range(0, bucket.size, step):
+            g = bucket[lo:lo + step]
+            rows = first[g, None] + np.arange(n)
+            U[rows, :w], d[g, :w], Vt = np.linalg.svd(F[rows],
+                                                      full_matrices=False)
+            V[g, :, :w] = Vt.swapaxes(1, 2)
+    r = np.count_nonzero(
+        d > (rank_tol * np.maximum(sizes, k) * d[:, 0])[:, None], axis=1)
+    keep = np.arange(k) < r[:, None]
+    # Sign convention: the largest-magnitude entry of each right singular
+    # vector is positive, so factors do not depend on the LAPACK build.
+    lead = np.argmax(np.abs(V), axis=1)
+    flip = np.take_along_axis(V, lead[:, None], axis=1)[:, 0] < 0.0
+    d = np.where(keep, d, 0.0)
+    V = np.where(keep[:, None], np.where(flip[:, None], -V, V), 0.0)
+    np.negative(U, out=U, where=np.repeat(flip, sizes, axis=0))
+    U[np.repeat(~keep, sizes, axis=0)] = 0.0
+    if starts is not None:
+        return CompactSvd(U=U, d=d, V=V, r=r)
+    m = int(r[0])
+    return CompactSvd(U=U[:, :m], d=d[0, :m], V=V[0, :, :m], r=m)
 
 
 def sym(S: np.ndarray) -> np.ndarray:

@@ -213,13 +213,8 @@ def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
     (the fixed and random designs may share columns), and fits one
     Firth-penalized coefficient vector (least squares for gaussian).
     """
-    X = np.vstack([g.X for g in dataset.groups])
-    Z = np.vstack([g.Z for g in dataset.groups])
-    y = np.concatenate([g.y for g in dataset.groups])
-    F = np.hstack([X, Z])
-    svd = compact_svd(F)
-    F0 = svd.U * svd.d
-    fit = fit_glm(y, F0, family)
+    svd = compact_svd(np.hstack([dataset.X, dataset.Z]))
+    fit = fit_glm(dataset.y, svd.U * svd.d, family)
     return GlobalFit(coef=svd.V @ fit.coef, p=dataset.p, q=dataset.q)
 
 
@@ -248,12 +243,10 @@ def fit_local(dataset: GroupedDataset, family: Family) -> LocalFit:
     once; each group's coefficient is reconstructed into the full [X Z]
     space. Groups whose summary fails predict through a zero coefficient.
     """
-    summaries, _ = summarize_groups(dataset.groups, family)
-    coefs = {s.group_id: np.concatenate([s.V1, s.V2]) @ s.theta_rot
-             for s in summaries}
-    return LocalFit(coefs=coefs, p=dataset.p, q=dataset.q,
-                    failed=tuple(g.group_id for g in dataset.groups
-                                 if g.group_id not in coefs))
+    columns, skipped = summarize_groups(dataset, family)
+    coef = (columns["V"] @ columns["theta"][:, :, None])[:, :, 0]
+    return LocalFit(coefs=dict(zip(columns["ids"], coef)), p=dataset.p,
+                    q=dataset.q, failed=tuple(gid for gid, _ in skipped))
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "line 3" in err and "'y'" in err and "oops" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_number_reports_line(self, tmp_path, capsys, cell):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"g,x,y\na,1.0,1.0\nb,2.0,2.0\nb,{cell},3.0\n")
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--fixed-cols", "x",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (str(src) in err and "line 4" in err and "'x'" in err
+                and cell in err and "not a finite number" in err)
+        assert not out.exists()
+
+    def test_nonfinite_estimate_writes_no_artifact(self, tmp_path, capsys):
+        """A fixed-effect column at 1e170 makes omega overflow in the
+        original units: exit 2 naming the field, and no artifact."""
+        rng = np.random.default_rng(101)
+        rows = []
+        for gid in range(6):
+            for _ in range(8):
+                rows.append([f"g{gid}", repr(1e170 * float(rng.normal())),
+                             repr(float(rng.choice([-1.0, 1.0]))),
+                             repr(float(rng.normal()))])
+        src = tmp_path / "d.csv"
+        _write_csv(src, ["g", "x", "z", "y"], rows)
+        out, posts = tmp_path / "fit.txt", tmp_path / "post.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["fit", "--input", str(src), "--group-col", "g",
+                       "--response-col", "y", "--fixed-cols", "x",
+                       "--random-cols", "z", "--out", str(out),
+                       "--posteriors-out", str(posts)])
+        assert rc == 2
+        assert "omega is not finite" in capsys.readouterr().err
+        assert not out.exists() and not posts.exists()
+
     def test_missing_column(self, tmp_path, capsys):
         src = tmp_path / "d.csv"
         src.write_text("g,y\na,1.0\n")

@@ -20,7 +20,6 @@ from hiermoment.ebayes import posterior_set
 from hiermoment.errors import DispersionError
 from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN
 from hiermoment.groups import (
-    GroupSummary,
     build_summary_set,
     pool_dispersion,
     summarize_group,
@@ -28,14 +27,6 @@ from hiermoment.groups import (
 from hiermoment.simulate import gen_replicate
 
 SQRT2 = math.sqrt(2.0)
-
-
-def _make_summary(n, r, dispersion):
-    """Stub summary carrying only the fields pooling reads."""
-    return GroupSummary(
-        group_id=0, n=n, r=r, V1=np.zeros((1, r)), V2=np.zeros((1, r)),
-        theta_rot=np.zeros(r), precision=np.eye(r), dispersion=dispersion,
-    )
 
 
 class TestSummarizeGroup:
@@ -141,27 +132,27 @@ class TestSummarizeGroup:
 
 
 class TestPoolDispersion:
+    """``pool_dispersion(n, r, dispersion, family)`` reads per-group arrays;
+    NaN marks a group without a Pearson estimate."""
+
     def test_known_dispersion_constant(self):
-        assert pool_dispersion([], BINOMIAL_LOGIT) == 1.0
+        assert pool_dispersion([], [], [], BINOMIAL_LOGIT) == 1.0
 
     def test_weighted_average(self):
         # df (3, 5) and phi (2, 1): (3*2 + 5*1) / 8 = 11/8
-        s1 = _make_summary(n=4, r=1, dispersion=2.0)
-        s2 = _make_summary(n=6, r=1, dispersion=1.0)
-        assert pool_dispersion([s1, s2], GAUSSIAN) == pytest.approx(11.0 / 8.0)
+        assert pool_dispersion([4, 6], [1, 1], [2.0, 1.0], GAUSSIAN) == \
+            pytest.approx(11.0 / 8.0)
 
     def test_zero_residuals(self):
-        s = _make_summary(n=5, r=1, dispersion=0.0)
-        assert pool_dispersion([s], GAUSSIAN) == 0.0
+        assert pool_dispersion([5], [1], [0.0], GAUSSIAN) == 0.0
 
     def test_saturated_groups_ignored(self):
-        s1 = _make_summary(n=3, r=3, dispersion=None)
-        s2 = _make_summary(n=5, r=2, dispersion=1.5)
-        assert pool_dispersion([s1, s2], GAUSSIAN) == pytest.approx(1.5)
+        assert pool_dispersion([3, 5], [3, 2], [np.nan, 1.5], GAUSSIAN) == \
+            pytest.approx(1.5)
 
     def test_no_degrees_of_freedom(self):
         with pytest.raises(DispersionError):
-            pool_dispersion([_make_summary(n=2, r=2, dispersion=None)], GAUSSIAN)
+            pool_dispersion([2], [2], [np.nan], GAUSSIAN)
 
 
 def _random_dataset(rng, M=12, p=2, q=2, family=GAUSSIAN):

@@ -101,6 +101,46 @@ class TestCompactSvd:
         with pytest.raises(ValueError):
             compact_svd(np.array([[1.0, np.nan]]))
 
+    def test_stacked_bitwise_equal_to_one_matrix_calls(self):
+        """Row blocks of every awkward shape, factored in one stacked call,
+        give bitwise the factors of one-matrix calls, zero-padded to k
+        directions; each one-matrix call's singular values are bitwise
+        LAPACK's on the block alone, which zero-padded rows would break."""
+        rng = np.random.default_rng(23)
+        k = 4
+        H = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                      [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+        a = rng.normal(size=(7, 2))
+        blocks = [
+            rng.normal(size=(1, k)),                    # singleton
+            rng.normal(size=(1, k)),
+            rng.normal(size=(3, k)),                    # n < k
+            rng.normal(size=(k, k)),                    # n = k
+            H,                                          # d = (2, 2, 2, 2)
+            np.vstack([H, -H]),                         # +-1, repeated d
+            np.hstack([a, a[:, :1], rng.normal(size=(7, 1))]),  # r = 3
+            np.zeros((5, k)),                           # r = 0
+        ]
+        # One bucket longer than a batched call: 9 * 4 entries per block.
+        blocks += list(rng.normal(size=(2 ** 16 // 36 + 50, 9, k)))
+        order = rng.permutation(len(blocks))
+        blocks = [blocks[i] for i in order]
+        sizes = np.array([b.shape[0] for b in blocks])
+        starts = np.cumsum(sizes) - sizes
+        st = compact_svd(np.vstack(blocks), starts=starts)
+        assert sorted(st.r[np.argsort(order)][:8]) == [0, 1, 1, 3, 3, 4, 4, 4]
+        for i, (b, lo) in enumerate(zip(blocks, starts)):
+            one = compact_svd(b)
+            r, rows = one.r, slice(lo, lo + b.shape[0])
+            assert st.r[i] == r
+            assert np.array_equal(
+                one.d, np.linalg.svd(b, full_matrices=False)[1][:r])
+            assert np.array_equal(st.d[i, :r], one.d)
+            assert np.array_equal(st.V[i, :, :r], one.V)
+            assert np.array_equal(st.U[rows, :r], one.U)
+            assert not st.d[i, r:].any() and not st.V[i, :, r:].any()
+            assert not st.U[rows, r:].any()
+
 
 class TestPsdProject:
     def test_indefinite_2x2(self):
