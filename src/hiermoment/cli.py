@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 
 import numpy as np
@@ -121,26 +122,82 @@ def _numeric_column(path, header, rows, col):
     return out
 
 
-def _design(path, header, rows, cols, intercept: bool):
-    names = ([INTERCEPT] if intercept else []) + cols
-    n = len(rows)
+def _parse_columns(path, select):
+    """One numpy pass over the file's rows, or None where the cell-by-cell
+    reader must judge the file: a decoding or parse error, a ragged row, a
+    blank line, a non-finite number, or a header that ``select`` refuses."""
+    try:
+        with open(path, newline="") as fh:
+            raw = fh.read()
+            # numpy skips a blank line, where the csv module reads a row of
+            # no fields.
+            if raw[:1] in ("\n", "\r") or "\n\n" in raw or (
+                    "\r" in raw and ("\n\r" in raw or "\r\r" in raw)):
+                return None
+            del raw
+            fh.seek(0)
+            header = [h.strip() for h in next(csv.reader(fh))]
+            numeric, text = select(header)
+            if not set(numeric + text) <= set(header) \
+                    or set(numeric) & set(text):
+                return None
+            kinds = [object] * len(header)
+            for name in numeric:
+                kinds[header.index(name)] = float
+            # One field per header column, so that numpy checks each row's
+            # width.
+            dtype = np.dtype([(f"f{j}", k) for j, k in enumerate(kinds)])
+            first = next(fh, "")
+            table = np.loadtxt(
+                itertools.chain([first], fh), dtype=dtype, delimiter=",",
+                comments=None, quotechar='"', ndmin=1,
+            ) if first else np.empty(0, dtype)
+    except (OSError, ValueError, StopIteration, csv.Error, _InputError):
+        return None
+    cols = {name: table[f"f{header.index(name)}"] for name in numeric + text}
+    if not all(np.isfinite(cols[name]).all() for name in numeric):
+        return None
+    return header, cols
+
+
+def _read_columns(path, select):
+    """The header and the wanted columns of a comma-delimited file.
+
+    ``select(header)`` checks the header and names the columns wanted as
+    ``(numeric, text)``: numeric columns come back as finite float arrays,
+    text columns as object arrays of str. One numpy pass reads the usual
+    file. Whatever it refuses is read again cell by cell, which raises the
+    located error, or returns the values where ``float()`` accepts a cell
+    that numpy does not (such as ``1_0``).
+    """
+    parsed = _parse_columns(path, select)
+    if parsed is not None:
+        return parsed
+    header, rows = _read_table(path)
+    numeric, text = select(header)
+    cols = {}
+    for name in numeric:
+        if name not in header:
+            raise _InputError(f"{path}: no column named {name!r}")
+        cols[name] = _numeric_column(path, header, rows, name)
+    for name in text:
+        j = header.index(name)
+        cols[name] = np.array([row[j] for row in rows], dtype=object)
+    return header, cols
+
+
+def _design(cols, n, names, intercept: bool):
+    names = ([INTERCEPT] if intercept else []) + names
     M = np.empty((n, len(names)))
     for k, name in enumerate(names):
-        if name == INTERCEPT:
-            M[:, k] = 1.0
-        else:
-            if name not in header:
-                raise _InputError(f"{path}: no column named {name!r}")
-            M[:, k] = _numeric_column(path, header, rows, name)
+        M[:, k] = 1.0 if name == INTERCEPT else cols[name]
     return M, names
 
 
-def _check_columns(args, header):
+def _check_columns(args, header, fixed, random):
     for col in [args.group_col, args.response_col]:
         if col not in header:
             raise _InputError(f"{args.input}: no column named {col!r}")
-    fixed = _split_cols(args.fixed_cols)
-    random = _split_cols(args.random_cols)
     for col in fixed + random:
         if col == args.group_col:
             raise _InputError(
@@ -150,7 +207,6 @@ def _check_columns(args, header):
         raise _InputError("no fixed-effect columns and no intercept")
     if args.no_intercept and not random:
         raise _InputError("no random-effect columns and no intercept")
-    return fixed, random
 
 
 def _format_floats(values) -> str:
@@ -248,18 +304,23 @@ def _write_posteriors(path, posteriors):
 
 
 def _read_posteriors(path, q) -> PosteriorSet:
-    header, rows = _read_table(path)
     want = 1 + q + q * q
-    if len(header) != want:
-        raise _InputError(
-            f"{path}: expected {want} columns for q={q}, got {len(header)}"
-        )
-    values = np.empty((len(rows), want - 1))
+
+    def select(header):
+        if len(header) != want:
+            raise _InputError(
+                f"{path}: expected {want} columns for q={q}, got {len(header)}"
+            )
+        return header[1:], header[:1]
+
+    header, cols = _read_columns(path, select)
+    ids = cols[header[0]].tolist()
+    values = np.empty((len(ids), want - 1))
     for j, col in enumerate(header[1:]):
-        values[:, j] = _numeric_column(path, header, rows, col)
+        values[:, j] = cols[col]
     entries = tuple(
-        GroupPosterior(group_id=row[0], mean=v[:q], cov=v[q:].reshape(q, q))
-        for row, v in zip(rows, values)
+        GroupPosterior(group_id=gid, mean=v[:q], cov=v[q:].reshape(q, q))
+        for gid, v in zip(ids, values)
     )
     return PosteriorSet(entries=entries, q=q)
 
@@ -267,14 +328,19 @@ def _read_posteriors(path, q) -> PosteriorSet:
 def _read_dataset(args):
     """The fit input as a dataset, with the predictor names. The parsed text
     and the unsorted columns are freed on return, before the fit."""
-    header, rows = _read_table(args.input)
-    fixed, random = _check_columns(args, header)
-    y = _numeric_column(args.input, header, rows, args.response_col)
-    X, fixed_names = _design(args.input, header, rows, fixed, not args.no_intercept)
-    Z, random_names = _design(args.input, header, rows, random, not args.no_intercept)
-    gidx = header.index(args.group_col)
-    ids = [row[gidx] for row in rows]
-    return GroupedDataset.from_long(y, X, Z, ids), fixed_names, random_names
+    fixed = _split_cols(args.fixed_cols)
+    random = _split_cols(args.random_cols)
+
+    def select(header):
+        _check_columns(args, header, fixed, random)
+        return [args.response_col] + fixed + random, [args.group_col]
+
+    _, cols = _read_columns(args.input, select)
+    ids = cols[args.group_col].astype(str)
+    X, fixed_names = _design(cols, ids.size, fixed, not args.no_intercept)
+    Z, random_names = _design(cols, ids.size, random, not args.no_intercept)
+    dataset = GroupedDataset.from_long(cols[args.response_col], X, Z, ids)
+    return dataset, fixed_names, random_names
 
 
 def _cmd_fit(args) -> int:
@@ -304,23 +370,26 @@ def _cmd_predict(args) -> int:
     if args.posteriors:
         posteriors = _read_posteriors(args.posteriors, q)
 
-    header, rows = _read_table(args.input)
-    if model["group_col"] not in header:
-        raise _InputError(f"{args.input}: no column named {model['group_col']!r}")
+    group_col = model["group_col"]
     fixed = [c for c in model["fixed_names"] if c != INTERCEPT]
     random = [c for c in model["random_names"] if c != INTERCEPT]
-    intercept = INTERCEPT in model["fixed_names"]
-    X, _ = _design(args.input, header, rows, fixed, intercept)
-    Z, _ = _design(args.input, header, rows, random,
-                   INTERCEPT in model["random_names"])
-    gidx = header.index(model["group_col"])
-    ids = np.array([row[gidx] for row in rows])
 
-    mu = np.empty(len(rows))
-    unseen = np.empty(len(rows), dtype=bool)
-    if rows:
+    def select(header):
+        if group_col not in header:
+            raise _InputError(f"{args.input}: no column named {group_col!r}")
+        return fixed + random, [group_col]
+
+    _, cols = _read_columns(args.input, select)
+    ids = cols[group_col].astype(str)
+    n = ids.size
+    X, _ = _design(cols, n, fixed, INTERCEPT in model["fixed_names"])
+    Z, _ = _design(cols, n, random, INTERCEPT in model["random_names"])
+
+    mu = np.empty(n)
+    unseen = np.empty(n, dtype=bool)
+    if n:
         # The response is not read; zeros stand in for it.
-        dataset = GroupedDataset.from_long(np.zeros(len(rows)), X, Z, ids)
+        dataset = GroupedDataset.from_long(np.zeros(n), X, Z, ids)
         mu_g, unseen_g = predict_grouped(dataset, model["beta"], posteriors,
                                          family)
         # Groups come back in ascending id order, rows in input order within
@@ -331,10 +400,10 @@ def _cmd_predict(args) -> int:
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([model["group_col"], "mu_hat", "unseen_group"])
-        for i in range(len(rows)):
-            writer.writerow([ids[i], repr(float(mu[i])), int(unseen[i])])
-    print(f"predicted {len(rows)} rows; wrote {args.out}")
+        writer.writerow([group_col, "mu_hat", "unseen_group"])
+        writer.writerows(zip(ids.tolist(), map(repr, mu.tolist()),
+                             unseen.astype(int).tolist()))
+    print(f"predicted {n} rows; wrote {args.out}")
     return EXIT_OK
 
 

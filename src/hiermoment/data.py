@@ -84,11 +84,20 @@ class GroupedDataset:
         X : array-like of shape (N, p)
         Z : array-like of shape (N, q)
         group_ids : sequence of length N
-            Orderable, hashable group keys.
+            Orderable, hashable group keys, all of one type; an ndarray is
+            taken as it is.
         """
         y = np.ascontiguousarray(y, dtype=float)
         X = np.ascontiguousarray(X, dtype=float)
         Z = np.ascontiguousarray(Z, dtype=float)
+        if not isinstance(group_ids, np.ndarray):
+            # numpy would turn [1, "1"] into two equal strings, one group.
+            group_ids = list(group_ids)
+            types = set(map(type, group_ids))
+            if len(types) > 1:
+                names = " and ".join(sorted(t.__name__ for t in types))
+                raise ValueError(f"group ids mix {names} values; give ids "
+                                 "of one type")
         ids = np.asarray(group_ids)
         if not (y.shape[0] == X.shape[0] == Z.shape[0] == ids.shape[0]):
             raise ValueError("y, X, Z, and group_ids must have equal length")

@@ -9,10 +9,13 @@ raw variance estimate is 2/3 - 0.5 * (1/10) = 0.6166666666666667.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 
 import numpy as np
 import pytest
 
+from hiermoment import cli
 from hiermoment.cli import main
 from hiermoment.combine import FitOptions, fit_moment
 from hiermoment.data import GroupedDataset
@@ -242,6 +245,91 @@ class TestPredictCommand:
             out_rows = list(csv.reader(fh))[1:]
         assert all(r[2] == "1" for r in out_rows)
 
+    def _outputs(self, tmp_path, name, text):
+        """The fit artifact, posteriors and predictions of one CSV text,
+        fitted and predicted on the same rows."""
+        d = tmp_path / name
+        d.mkdir()
+        src = d / "in.csv"
+        src.write_bytes(text.encode())
+        paths = [d / "fit.txt", d / "post.csv", d / "pred.csv"]
+        assert main(["fit", "--input", str(src), "--group-col", "g",
+                     "--response-col", "y", "--fixed-cols", "x",
+                     "--random-cols", "z", "--out", str(paths[0]),
+                     "--posteriors-out", str(paths[1])]) == 0
+        assert main(["predict", "--model", str(paths[0]), "--posteriors",
+                     str(paths[1]), "--input", str(src),
+                     "--out", str(paths[2])]) == 0
+        return [path.read_bytes() for path in paths]
+
+    @pytest.mark.parametrize("variant", [
+        dict(nl="\r\n"),
+        dict(note='"n, #1"'),
+        dict(cell=(3, " 1.5 ")),
+        dict(cell=(7, "1_0")),
+        dict(ids=('"{},""q"""', '{},"q"')),
+        dict(ids=("{}#1", "{}#1")),
+        dict(ids=("{}-\u00e9\u2603", "{}-\u00e9\u2603")),
+        dict(ids=('"{}\nb"', "{}\nb")),
+    ], ids=["crlf", "unused_text_column", "spaced_number",
+            "underscored_number", "quoted_id", "hash_in_id", "non_ascii_id",
+            "quoted_newline_id"])
+    def test_csv_dialect(self, tmp_path, capsys, monkeypatch, variant):
+        """A variant of a file reads as the plain file does: the same
+        artifact, and the same posteriors and predictions with the variant's
+        ids, as the csv module writes them. numpy reads every variant in one
+        pass but ``1_0``, which only ``float()`` accepts."""
+        _, ids, X, Z, y = self._fit_inputs(tmp_path)
+        plain = [[g, repr(float(x)), repr(float(z)), repr(float(v))]
+                 for g, x, z, v in zip(ids, X[:, 0], Z[:, 0], y)]
+        plain[3][3], plain[7][3] = "1.5", "10"
+        rows = [list(r) for r in plain]
+        header = ["g", "x", "z", "y"]
+        if "cell" in variant:
+            i, cell = variant["cell"]
+            rows[i][3] = cell
+        rename = {}
+        if "ids" in variant:
+            written, read = variant["ids"]
+            rename = {g: read.format(g) for g in set(ids)}
+            for r in rows:
+                r[0] = written.format(r[0])
+        want = self._outputs(tmp_path, "plain", "".join(
+            ",".join(r) + "\n" for r in [header] + plain))
+        if "note" in variant:
+            header = header + ["note"]
+            rows = [r + [variant["note"]] for r in rows]
+        if variant.get("cell", (0, ""))[1] != "1_0":
+            monkeypatch.setattr(cli, "_read_table", None)
+        nl = variant.get("nl", "\n")
+        got = self._outputs(tmp_path, "variant", "".join(
+            ",".join(r) + nl for r in [header] + rows))
+        assert got[0] == want[0]
+        for w, g in zip(want[1:], got[1:]):
+            out = io.StringIO(newline="")
+            csv.writer(out).writerows(
+                [rename.get(r[0], r[0])] + r[1:]
+                for r in csv.reader(io.StringIO(w.decode(), newline="")))
+            assert g == out.getvalue().encode()
+        assert capsys.readouterr().err == ""
+
+    def test_header_only_input_predicts_no_rows(self, tmp_path, capsys):
+        src = self._fit_inputs(tmp_path)[0]
+        model, posts = tmp_path / "fit.txt", tmp_path / "post.csv"
+        assert main(["fit", "--input", str(src), "--group-col", "g",
+                     "--response-col", "y", "--fixed-cols", "x",
+                     "--random-cols", "z", "--out", str(model),
+                     "--posteriors-out", str(posts)]) == 0
+        new, preds = tmp_path / "new.csv", tmp_path / "pred.csv"
+        new.write_text("g,x,z,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["predict", "--model", str(model), "--posteriors",
+                         str(posts), "--input", str(new),
+                         "--out", str(preds)]) == 0
+        assert preds.read_bytes() == b"g,mu_hat,unseen_group\r\n"
+        assert capsys.readouterr().err == ""
+
 
 class TestErrorPaths:
     def test_ragged_row_reports_line_number(self, tmp_path, capsys):
@@ -251,7 +339,23 @@ class TestErrorPaths:
                    "--response-col", "y", "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "line 3" in err and "expected 2 fields" in err
+        assert err == f"error: {src}: line 3: expected 2 fields, got 3\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("g,y\na,1.0\n\na,2.0\n", 3),
+        ("g,y\na,1.0\na,2.0\n\n", 4),
+        ("g,y\r\na,1.0\r\n\r\na,2.0\r\n", 3),
+    ], ids=["middle", "last", "crlf"])
+    def test_blank_line_reports_line_number(self, tmp_path, capsys, text,
+                                            line):
+        """A blank line is a row of no fields, as the csv module reads it."""
+        src = tmp_path / "bad.csv"
+        src.write_bytes(text.encode())
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: line {line}: expected 2 fields, got 0\n"
 
     def test_unparseable_number_reports_column(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
@@ -261,6 +365,17 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "'y'" in err and "oops" in err
+
+    def test_empty_number_cell_reports_line(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text("g,x,y\na,1.0,1.0\na,,2.0\n")
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--fixed-cols", "x",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {src}: line 3: column 'x': "
+                       "cannot parse '' as a number\n")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_nonfinite_number_reports_line(self, tmp_path, capsys, cell):

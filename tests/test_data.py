@@ -92,3 +92,14 @@ class TestChecks:
         g = GroupData(0, np.ones(2), np.ones((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError):
             GroupedDataset([g], p=1, q=1)
+
+    def test_mixed_id_types_rejected(self):
+        """numpy would read [1, "1", 2, "a"] as four strings and merge the
+        int 1 with the str "1"; a list of ids of two types is refused."""
+        y, ones = np.arange(4.0), np.ones((4, 1))
+        with pytest.raises(ValueError, match="mix int and str"):
+            GroupedDataset.from_long(y, ones, ones, [1, "1", 2, "a"])
+        ds = GroupedDataset.from_long(y, ones, ones,
+                                      np.array(["1", "1", "2", "a"]))
+        assert ds.ids == ("1", "2", "a")
+        assert np.array_equal(ds.sizes, [2, 1, 1])
