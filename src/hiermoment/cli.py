@@ -91,6 +91,8 @@ def _read_table(path: str):
             rows = list(reader)
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e}") from e
+    except csv.Error as e:
+        raise _InputError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise _InputError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]

@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import ConvergenceError, DegeneratePrecisionError
 from .linalg import sym
@@ -51,9 +50,16 @@ def _clip_mu(mu):
     return np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
 
 
+def expit(x):
+    """The logistic function ``1 / (1 + exp(-x))``: 0 at -inf, 1 at +inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 @dataclass(frozen=True)
 class Family:
-    """Response family: link pair, variance function, and working weight
+    """Response family: inverse link and variance function ``V(mu)``. Both
+    links are canonical, so ``V(mu)`` is also the working weight
     ``lam(mu) = (dmu/deta)^2 / V(mu)``.
 
     ``dispersion`` holds the known value (1.0 for binomial-logit) and is None
@@ -63,11 +69,6 @@ class Family:
     name: str
     dispersion_known: bool
     dispersion: float | None
-
-    def link(self, mu):
-        if self.name == "gaussian":
-            return np.asarray(mu, dtype=float)
-        return logit(_clip_mu(mu))
 
     def inv_link(self, eta):
         if self.name == "gaussian":
@@ -79,10 +80,6 @@ class Family:
             return np.ones_like(np.asarray(mu, dtype=float))
         mu = _clip_mu(mu)
         return mu * (1.0 - mu)
-
-    def working_weight(self, mu):
-        # Canonical links: (dmu/deta)^2 / V(mu) reduces to 1 and mu(1-mu).
-        return self.variance(mu)
 
 
 GAUSSIAN = Family(name="gaussian", dispersion_known=False, dispersion=None)
@@ -439,7 +436,7 @@ def unscaled_precision(F0, mu, family: Family, starts=None, ranks=None):
     """
     F0 = np.asarray(F0, dtype=float)
     n, k = F0.shape
-    P = _information(F0, family.working_weight(mu),
+    P = _information(F0, family.variance(mu),
                      _Stack.make(n, k, starts, ranks))
     if starts is not None:
         return P

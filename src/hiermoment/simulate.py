@@ -7,13 +7,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .combine import FitOptions, MomentFit, fit_moment
 from .data import GroupData, GroupedDataset
 from .ebayes import posterior_set, predict_grouped
 from .errors import HierMomentError
-from .families import Family, fit_glm
+from .families import Family, expit, fit_glm
 from .groups import summarize_groups
 from .linalg import compact_svd
 

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import hiermoment
 from hiermoment import cli
 from hiermoment.cli import main
 from hiermoment.combine import FitOptions, fit_moment
@@ -357,6 +361,40 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == f"error: {src}: line {line}: expected 2 fields, got 0\n"
 
+    @pytest.mark.parametrize("text, line", [
+        ("g,y," + "x" * 140_000 + "\na,1.0,2.0\n", 1),
+        ("g,y\na,1.0\n" + "b" * 140_000 + ",2.0\n\na,3.0\n", 3),
+    ], ids=["header", "id_and_blank_line"])
+    def test_oversized_field_reports_line(self, tmp_path, capsys, text, line):
+        """A field past the csv module's 131,072-character limit exits 2
+        with the file and line, not a traceback. numpy reads a long id, but
+        a blank line sends the file to the cell-by-cell reader, where the
+        csv module refuses it."""
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {src}: line {line}: "
+                       "field larger than field limit (131072)\n")
+        assert not out.exists()
+
+    def test_all_singleton_groups_exit_3(self, tmp_path, capsys):
+        """One row per group leaves no group with n > r, so the gaussian
+        dispersion cannot be estimated: exit 3 and no artifact."""
+        src = tmp_path / "d.csv"
+        _write_csv(src, ["g", "y"], [[f"g{i}", repr(0.5 * i)]
+                                     for i in range(5)])
+        out, posts = tmp_path / "fit.txt", tmp_path / "post.csv"
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--out", str(out),
+                   "--posteriors-out", str(posts)])
+        assert rc == 3
+        assert "cannot estimate dispersion" in capsys.readouterr().err
+        assert not out.exists() and not posts.exists()
+
     def test_unparseable_number_reports_column(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("g,y\na,1.0\na,oops\na,2.0\n")
@@ -547,3 +585,16 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "x.tsv")])
         assert rc == 2
         capsys.readouterr()
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the package and its
+    command line in a fresh interpreter loads no scipy module."""
+    src = os.path.dirname(os.path.dirname(hiermoment.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = ("import sys, hiermoment, hiermoment.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
