@@ -16,6 +16,8 @@ import pytest
 import scipy.optimize
 from scipy.special import expit
 
+from hiermoment import families, groups
+from hiermoment.combine import fit_moment
 from hiermoment.errors import DegeneratePrecisionError
 from hiermoment.families import (
     BINOMIAL_LOGIT,
@@ -26,6 +28,7 @@ from hiermoment.families import (
     pearson_dispersion,
     unscaled_precision,
 )
+from hiermoment.simulate import gen_replicate
 
 LN5 = math.log(5.0)
 LN9 = math.log(9.0)
@@ -271,6 +274,106 @@ class TestFirthFit:
                 - _penalized_negloglik(coef + dc, y, F0, True)
             ) / (2 * eps)
             np.testing.assert_allclose(analytic[k], fd, atol=1e-5)
+
+    def test_seeded_stack_converges_within_ten_passes(self, monkeypatch):
+        """The stacked fit of gen_replicate(600, 12000, 3, 3, logit, seed=1)
+        summaries: every group converges, each group's penalized score,
+        recomputed from its own rows, is within the 1e-8 stop, and the
+        stack takes at most 10 passes (the count of the all-Newton solver
+        before the Fisher warm-up)."""
+        calls = []
+
+        def spy(y, F0, family, starts=None, ranks=None, **kw):
+            fit = fit_glm(y, F0, family, starts=starts, ranks=ranks, **kw)
+            calls.append((y, F0, starts, ranks, fit))
+            return fit
+
+        monkeypatch.setattr(groups, "fit_glm", spy)
+        ds, _ = gen_replicate(600, 12000, 3, 3, BINOMIAL_LOGIT, seed=1)
+        fit_moment(ds, BINOMIAL_LOGIT)
+        (y, F0, starts, ranks, fit), = calls
+        assert fit.converged.all()
+        assert fit.iterations <= 10
+        for lo, hi, r, coef in zip(starts, np.append(starts[1:], y.size),
+                                   ranks, fit.coef):
+            F, v = F0[lo:hi, :r], y[lo:hi]
+            mu = expit(F @ coef[:r])
+            W = mu * (1 - mu)
+            h = np.einsum("ij,ji->i", F * W[:, None],
+                          np.linalg.solve(F.T @ (F * W[:, None]), F.T))
+            assert np.linalg.norm(F.T @ (v - mu + h * (0.5 - mu))) <= 1e-8
+
+
+class TestSmallMatrixPaths:
+    """The Cholesky shortcuts of the Firth solver against the general
+    routines they stand in for."""
+
+    def test_cholesky_logdet_equals_slogdet(self):
+        rng = np.random.default_rng(3)
+        G = rng.normal(size=(50, 5, 8))
+        S = G @ G.swapaxes(1, 2)
+        sign, logdet = np.linalg.slogdet(S)
+        assert np.all(sign > 0)
+        np.testing.assert_allclose(families._logdet_pd(S), logdet,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_non_pd_information_is_minus_inf_for_that_group_only(self):
+        """Group 1's design has a zero column, so its information is
+        singular: the batched Cholesky fails, and the slogdet fallback gives
+        -inf for that group and the usual value for the others. An
+        indefinite matrix, whose log|det| is finite, also gives -inf."""
+        rng = np.random.default_rng(5)
+        F = rng.normal(size=(12, 2))
+        F[4:7, 1] = 0.0
+        y = (rng.random(12) < 0.5).astype(float)
+        stack = families._Stack.make(12, 2, np.array([0, 4, 7]), None)
+        coef = np.array([[0.2, -0.1], [0.3, 0.5], [-0.4, 0.2]])
+        mu, w, info, ll, objective = families._penalized(y, F, stack, coef)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(info)
+        assert objective[1] == -np.inf
+        expected = ll + 0.5 * np.linalg.slogdet(info)[1]
+        np.testing.assert_allclose(objective[[0, 2]], expected[[0, 2]],
+                                   rtol=1e-13)
+        info[1] = np.diag([2.0, -3.0])
+        logdet = families._logdet_pd(info)
+        assert logdet[1] == -np.inf
+        np.testing.assert_array_equal(logdet[[0, 2]],
+                                      np.linalg.slogdet(info[[0, 2]])[1])
+
+    def test_row_products_follow_sym_index(self):
+        """The prefix-times-column products equal, bitwise, the products of
+        the index tuples that _sym_index lists, for every order and k."""
+        rng = np.random.default_rng(7)
+        for k in range(1, 7):
+            ft = rng.normal(size=(k, 9))
+            lower = ft
+            for order in (2, 3):
+                combos = families._sym_index(k, order)[0]
+                got = families._next_order(lower, order, ft,
+                                           np.empty((len(combos), 9)))
+                want = ft[combos[:, 0]]
+                for j in range(1, order):
+                    want = want * ft[combos[:, j]]
+                np.testing.assert_array_equal(got, want)
+                lower = got
+
+    def test_newton_mask_matches_eigvalsh(self):
+        """A stack mixing negative definite Hessians with indefinite,
+        semidefinite and positive definite ones gets the eigvalsh mask; an
+        all negative definite stack is all Newton."""
+        rng = np.random.default_rng(9)
+        G = rng.normal(size=(40, 4, 6))
+        H = -(G @ G.swapaxes(1, 2))
+        nd = families._negative_definite(H)
+        assert nd.all()
+        np.testing.assert_array_equal(nd, np.linalg.eigvalsh(H)[:, -1] < 0.0)
+        H[[3, 17]] *= -1.0                                # positive definite
+        H[[8, 30], 0, 0] = -H[[8, 30], 0, 0] + 50.0       # indefinite
+        H[21] = -np.outer(G[21, :, 0], G[21, :, 0])      # semidefinite
+        mask = families._negative_definite(H)
+        np.testing.assert_array_equal(mask, np.linalg.eigvalsh(H)[:, -1] < 0.0)
+        assert mask.sum() == 35
 
 
 class TestDispersion:
