@@ -15,7 +15,7 @@ import numpy as np
 
 from .combine import SCHEMES, FitOptions, fit_moment
 from .data import GroupedDataset
-from .ebayes import GroupPosterior, PosteriorSet, posterior_set, predict_grouped
+from .ebayes import PosteriorSet, posterior_set, predict_grouped
 from .errors import HierMomentError, SingularOmega2Error, SingularOmegaError
 from .families import get_family
 from .simulate import run_study, study_table
@@ -291,18 +291,16 @@ def _read_fit_artifact(path):
 
 
 def _write_posteriors(path, posteriors):
-    q = posteriors.q
+    M, q = posteriors.means.shape
     header = ["group_id"]
     header += [f"mean_{j}" for j in range(q)]
     header += [f"cov_{j}_{k}" for j in range(q) for k in range(q)]
+    values = np.hstack([posteriors.means, posteriors.covs.reshape(M, q * q)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for e in posteriors.entries:
-            row = [str(e.group_id)]
-            row += [repr(float(v)) for v in e.mean]
-            row += [repr(float(v)) for v in e.cov.ravel()]
-            writer.writerow(row)
+        # The csv module writes a float as its repr.
+        writer.writerows(zip(map(str, posteriors.ids), *values.T.tolist()))
 
 
 def _read_posteriors(path, q) -> PosteriorSet:
@@ -316,15 +314,15 @@ def _read_posteriors(path, q) -> PosteriorSet:
         return header[1:], header[:1]
 
     header, cols = _read_columns(path, select)
-    ids = cols[header[0]].tolist()
-    values = np.empty((len(ids), want - 1))
-    for j, col in enumerate(header[1:]):
-        values[:, j] = cols[col]
-    entries = tuple(
-        GroupPosterior(group_id=gid, mean=v[:q], cov=v[q:].reshape(q, q))
-        for gid, v in zip(ids, values)
-    )
-    return PosteriorSet(entries=entries, q=q)
+    ids = cols[header[0]]
+    _, first = np.unique(ids, return_index=True)
+    if first.size < ids.size:
+        i = np.setdiff1d(np.arange(ids.size), first)[0]
+        raise _InputError(f"{path}: line {i + 2}: group id {ids[i]!r} "
+                          "appears in an earlier row")
+    values = np.column_stack([cols[col] for col in header[1:]])
+    return PosteriorSet(tuple(ids.tolist()), values[:, :q],
+                        values[:, q:].reshape(-1, q, q))
 
 
 def _read_dataset(args):
@@ -368,7 +366,7 @@ def _cmd_predict(args) -> int:
     model = _read_fit_artifact(args.model)
     family = get_family(model["family"])
     q = len(model["random_names"])
-    posteriors = PosteriorSet(entries=(), q=q)
+    posteriors = PosteriorSet((), np.empty((0, q)), np.empty((0, q, q)))
     if args.posteriors:
         posteriors = _read_posteriors(args.posteriors, q)
 

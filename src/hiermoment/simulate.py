@@ -4,13 +4,14 @@ global/local baseline fitters, and replicate studies."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .combine import FitOptions, MomentFit, fit_moment
 from .data import GroupData, GroupedDataset
-from .ebayes import posterior_set, predict_grouped
+from .ebayes import _grouped_dot, posterior_set, predict_grouped
 from .errors import HierMomentError
 from .families import Family, expit, fit_glm
 from .groups import summarize_groups
@@ -181,8 +182,7 @@ def losses(
     root_inv = (QS / np.sqrt(np.maximum(wS, 1e-300))) @ QS.T
     M = truth.u.shape[0]
     uhat = np.zeros_like(truth.u)
-    for e in posteriors.entries:
-        uhat[e.group_id] = e.mean
+    uhat[np.array(posteriors.ids, dtype=np.intp)] = posteriors.means
     diff = (truth.u - uhat) @ root_inv.T
     raneff = float(np.sum(diff * diff) / M)
 
@@ -197,12 +197,9 @@ class GlobalFit:
     """Single pooled coefficient vector over the combined [X Z] columns."""
 
     coef: np.ndarray
-    p: int
-    q: int
 
     def predict(self, X, Z, family: Family) -> np.ndarray:
-        eta = np.hstack([X, Z]) @ self.coef
-        return family.inv_link(eta)
+        return family.inv_link(np.hstack([X, Z]) @ self.coef)
 
 
 def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
@@ -214,25 +211,26 @@ def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
     """
     svd = compact_svd(np.hstack([dataset.X, dataset.Z]))
     fit = fit_glm(dataset.y, svd.U * svd.d, family)
-    return GlobalFit(coef=svd.V @ fit.coef, p=dataset.p, q=dataset.q)
+    return GlobalFit(coef=svd.V @ fit.coef)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalFit:
-    """Independent per-group coefficient vectors (no pooling)."""
+    """Independent per-group coefficient vectors (no pooling): row i of
+    ``coef (M, p + q)`` is the [X Z] coefficient of group ``ids[i]``."""
 
-    coefs: dict
-    p: int
-    q: int
+    ids: tuple
+    coef: np.ndarray
     failed: tuple = ()
 
-    def predict_group(self, group_id, X, Z, family: Family) -> np.ndarray:
-        coef = self.coefs.get(group_id)
-        if coef is None:
-            eta = np.zeros(X.shape[0])
-        else:
-            eta = np.hstack([X, Z]) @ coef
-        return family.inv_link(eta)
+    def predict(self, dataset: GroupedDataset, family: Family) -> np.ndarray:
+        """Predicted means over the long rows of ``dataset``; a group
+        without a coefficient predicts through zero."""
+        index = dict(zip(self.ids, range(len(self.ids))))
+        rows = np.fromiter(map(index.get, dataset.ids, repeat(-1)), np.intp,
+                           dataset.n_groups)
+        return family.inv_link(_grouped_dot(
+            np.hstack([dataset.X, dataset.Z]), dataset.sizes, rows, self.coef))
 
 
 def fit_local(dataset: GroupedDataset, family: Family) -> LocalFit:
@@ -244,8 +242,8 @@ def fit_local(dataset: GroupedDataset, family: Family) -> LocalFit:
     """
     columns, skipped = summarize_groups(dataset, family)
     coef = (columns["V"] @ columns["theta"][:, :, None])[:, :, 0]
-    return LocalFit(coefs=dict(zip(columns["ids"], coef)), p=dataset.p,
-                    q=dataset.q, failed=tuple(gid for gid, _ in skipped))
+    return LocalFit(columns["ids"], coef,
+                    failed=tuple(gid for gid, _ in skipped))
 
 
 @dataclass(frozen=True)
@@ -315,15 +313,13 @@ def run_study(
                         fit = fit_moment(dataset, family, options)
                         post = posterior_set(fit)
                         elapsed = time.perf_counter() - t0
-                        rec = losses(truth, fit, post, family, dataset)
-                        rec = LossRecord(rec.fixed_loss, rec.cov_loss,
-                                         rec.raneff_loss, rec.pred_loss,
-                                         seconds=elapsed)
+                        rec = replace(losses(truth, fit, post, family,
+                                             dataset), seconds=elapsed)
                     elif method == "global":
                         gfit = fit_global(dataset, family)
                         elapsed = time.perf_counter() - t0
-                        mu_hat = [gfit.predict(g.X, g.Z, family)
-                                  for g in dataset.groups]
+                        mu_hat = dataset.split(
+                            gfit.predict(dataset.X, dataset.Z, family))
                         rec = LossRecord(
                             fixed_loss=float(np.sum(
                                 (truth.beta - gfit.coef[:p]) ** 2)),
@@ -335,8 +331,7 @@ def run_study(
                     elif method == "local":
                         lfit = fit_local(dataset, family)
                         elapsed = time.perf_counter() - t0
-                        mu_hat = [lfit.predict_group(g.group_id, g.X, g.Z, family)
-                                  for g in dataset.groups]
+                        mu_hat = dataset.split(lfit.predict(dataset, family))
                         rec = LossRecord(
                             fixed_loss=nan,
                             cov_loss=nan,

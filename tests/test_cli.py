@@ -195,9 +195,10 @@ class TestPredictCommand:
         order = np.argsort(inverse, kind="stable")
         bounds = np.cumsum(np.bincount(inverse))[:-1]
         mu_ref = np.empty(len(ids))
-        for g, idx in zip(ds.groups, np.split(order, bounds)):
-            mu_ref[idx] = predict_mean(g.X, g.Z, fit.beta,
-                                       post.get(g.group_id).mean, GAUSSIAN)
+        for g, i, idx in zip(ds.groups, post.rows(ds.ids),
+                             np.split(order, bounds)):
+            mu_ref[idx] = predict_mean(g.X, g.Z, fit.beta, post.means[i],
+                                       GAUSSIAN)
 
         with open(preds, newline="") as fh:
             out_rows = list(csv.reader(fh))
@@ -210,6 +211,16 @@ class TestPredictCommand:
         fields, _ = _read_artifact(model)
         assert np.array_equal(_floats(fields["beta"]), fit.beta)
         assert np.array_equal(_floats(fields["sigma"]), fit.sigma.ravel())
+
+        # the posteriors file's rows in another order predict the same bytes
+        header, *rows = posts.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "post_shuffled.csv"
+        shuffled.write_text(header + "".join(rows[i] for i in [3, 0, 4, 1, 2]))
+        preds2 = tmp_path / "pred2.csv"
+        assert main(["predict", "--model", str(model), "--posteriors",
+                     str(shuffled), "--input", str(src),
+                     "--out", str(preds2)]) == 0
+        assert preds2.read_bytes() == preds.read_bytes()
 
     def test_unseen_group_falls_back_to_population(self, tmp_path):
         src, ids, X, Z, y = self._fit_inputs(tmp_path, seed=83)
@@ -523,6 +534,22 @@ class TestErrorPaths:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(posts) in err and "line 3" in err and "oops" in err
+
+    def test_duplicate_posterior_id_rejected(self, tmp_path, capsys):
+        src = tmp_path / "data.csv"
+        model, posts = tmp_path / "fit.txt", tmp_path / "post.csv"
+        _oneway_csv(src)
+        assert main(["fit", "--input", str(src), "--group-col", "g",
+                     "--response-col", "y", "--out", str(model),
+                     "--posteriors-out", str(posts)]) == 0
+        with open(posts, "a") as fh:
+            fh.write("a,100.0,0.1\n")
+        rc = main(["predict", "--model", str(model), "--posteriors",
+                   str(posts), "--input", str(src),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(posts) in err and "line 5" in err and "'a'" in err
 
     def test_aliased_design_exits_3_with_hint(self, tmp_path, capsys):
         rng = np.random.default_rng(97)

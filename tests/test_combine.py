@@ -198,7 +198,8 @@ class TestPaddedStacks:
         for phi in [fit.phi, 0.0]:
             pset = posterior_set(
                 dataclasses.replace(fit, phi=phi, sigma_scaled=sigma))
-            for s in fit.summary_set.summaries:
+            for s, i in zip(fit.summary_set.summaries,
+                            pset.rows(fit.summary_set.ids)):
                 resid = s.theta_rot - s.V1.T @ fit.beta_scaled
                 if phi > 0.0:
                     H = sigma @ s.V2 @ np.linalg.inv(
@@ -209,10 +210,10 @@ class TestPaddedStacks:
                     v = np.linalg.lstsq(Lt @ s.V2.T @ A, Lt @ resid,
                                         rcond=None)[0]
                     mean, cov = A @ v, np.zeros((2, 2))
-                entry = pset.get(s.group_id)
-                np.testing.assert_allclose(entry.mean, mean / zs,
+                np.testing.assert_allclose(pset.means[i], mean / zs,
                                            rtol=1e-9, atol=1e-9)
-                np.testing.assert_allclose(entry.cov, cov / np.outer(zs, zs),
+                np.testing.assert_allclose(pset.covs[i],
+                                           cov / np.outer(zs, zs),
                                            rtol=1e-9, atol=1e-9)
 
 

@@ -172,18 +172,23 @@ class TestPosteriorSet:
         fit = fit_moment(ds, GAUSSIAN)
         assert np.array_equal(fit.scale_record.z_scale, np.ones(2))
         pset = posterior_set(fit)
-        assert pset.q == 2
-        assert len(pset.entries) == 12
-        for g in ds.groups:
+        assert pset.means.shape == (12, 2)
+        assert pset.covs.shape == (12, 2, 2)
+        rows = pset.rows(ds.ids)
+        for g, i in zip(ds.groups, rows):
             H = fit.sigma @ g.Z.T @ np.linalg.inv(
                 g.Z @ fit.sigma @ g.Z.T + fit.phi * np.eye(g.n))
-            entry = pset.get(g.group_id)
-            np.testing.assert_allclose(entry.mean, H @ (g.y - g.X @ fit.beta),
+            np.testing.assert_allclose(pset.means[i],
+                                       H @ (g.y - g.X @ fit.beta),
                                        rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(entry.cov, fit.sigma - H @ g.Z @ fit.sigma,
+            np.testing.assert_allclose(pset.covs[i],
+                                       fit.sigma - H @ g.Z @ fit.sigma,
                                        rtol=1e-9, atol=1e-9)
-        assert pset.get("missing") is None
-        assert pset.means().shape == (12, 2)
+        assert pset.rows(["missing"]).tolist() == [-1]
+        e = pset.entries[rows[5]]
+        assert e.group_id == ds.ids[5]
+        assert np.array_equal(e.mean, pset.means[rows[5]])
+        assert np.array_equal(e.cov, pset.covs[rows[5]])
 
     def test_back_transform_to_raw_frame(self):
         """Posterior means transform like the random effects themselves:
@@ -206,9 +211,9 @@ class TestPosteriorSet:
         ds2 = GroupedDataset.from_long(y, X, Z * c, ids)
         p1 = posterior_set(fit_moment(ds1, GAUSSIAN))
         p2 = posterior_set(fit_moment(ds2, GAUSSIAN))
-        for e1, e2 in zip(p1.entries, p2.entries):
-            np.testing.assert_allclose(e2.mean * c, e1.mean, rtol=1e-6)
-            np.testing.assert_allclose(e2.cov * c * c, e1.cov, rtol=1e-6)
+        assert p1.ids == p2.ids
+        np.testing.assert_allclose(p2.means * c, p1.means, rtol=1e-6)
+        np.testing.assert_allclose(p2.covs * c * c, p1.covs, rtol=1e-6)
 
 
 class TestPrediction:
@@ -251,5 +256,5 @@ class TestPrediction:
         assert unseen == [False, True]
         # unseen group predicts at the population level, u = 0
         np.testing.assert_allclose(mu[1], np.ones(2) * fit.beta[0], rtol=1e-12)
-        u0 = pset.get(0).mean
+        u0 = pset.means[pset.rows([0])[0]]
         np.testing.assert_allclose(mu[0], fit.beta[0] + u0[0], rtol=1e-12)

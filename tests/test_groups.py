@@ -246,11 +246,10 @@ class TestBuildSummarySet:
                              build_summary_set(ds_b, family))
             pa = posterior_set(fit_moment(ds_a, family))
             pb = posterior_set(fit_moment(ds_b, family))
-            assert len(pa.entries) == len(pb.entries) == 8
-            for ea, eb in zip(pa.entries, pb.entries):
-                assert ea.group_id == eb.group_id
-                assert np.array_equal(ea.mean, eb.mean)
-                assert np.array_equal(ea.cov, eb.cov)
+            assert len(pa.ids) == 8
+            assert pa.ids == pb.ids
+            assert np.array_equal(pa.means, pb.means)
+            assert np.array_equal(pa.covs, pb.covs)
 
     def test_logit_groups_all_summarized_at_score_zero(self):
         """No logit group is dropped by the solver, and each group's Firth

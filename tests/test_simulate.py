@@ -14,7 +14,7 @@ import pytest
 
 from hiermoment.combine import MomentFit, ScaleRecord, fit_moment
 from hiermoment.data import GroupedDataset
-from hiermoment.ebayes import GroupPosterior, PosteriorSet, posterior_set
+from hiermoment.ebayes import PosteriorSet, posterior_set
 from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN
 from hiermoment.simulate import (
     SimTruth,
@@ -43,11 +43,9 @@ def _stub_fit(beta, sigma, phi=1.0):
 
 
 def _posteriors_from(u_rows, ids, q):
-    entries = tuple(
-        GroupPosterior(group_id=i, mean=u_rows[i], cov=np.zeros((q, q)))
-        for i in ids
-    )
-    return PosteriorSet(entries=entries, q=q)
+    ids = tuple(ids)
+    return PosteriorSet(ids, u_rows[np.array(ids, dtype=np.intp)],
+                        np.zeros((len(ids), q, q)))
 
 
 class TestGenerator:
@@ -249,10 +247,10 @@ class TestBaselines:
         y = rng.normal(size=10)
         ds = GroupedDataset.from_long(y, X, Z, [7] * 10)
         lfit = fit_local(ds, GAUSSIAN)
-        assert set(lfit.coefs) == {7}
+        assert lfit.ids == (7,)
         F = np.hstack([X, Z])
         ref, *_ = np.linalg.lstsq(F, y, rcond=None)
-        np.testing.assert_allclose(lfit.coefs[7], ref, atol=1e-10)
+        np.testing.assert_allclose(lfit.coef[0], ref, atol=1e-10)
 
     def test_local_noiseless_prediction(self):
         rng = np.random.default_rng(53)
@@ -261,16 +259,40 @@ class TestBaselines:
         eta = np.hstack([X, Z]) @ np.array([1.0, 0.5, -0.5, 2.0])
         ds = GroupedDataset.from_long(eta, X, Z, [0] * 8)
         lfit = fit_local(ds, GAUSSIAN)
-        np.testing.assert_allclose(lfit.predict_group(0, X, Z, GAUSSIAN),
-                                   eta, atol=1e-10)
+        np.testing.assert_allclose(lfit.predict(ds, GAUSSIAN), eta,
+                                   atol=1e-10)
 
     def test_local_tiny_group_is_finite(self):
         # single binary observation: Firth keeps the estimate finite
         ds = GroupedDataset.from_long(np.array([1.0]), np.ones((1, 1)),
                                       np.ones((1, 1)), [0])
         lfit = fit_local(ds, BINOMIAL_LOGIT)
-        assert np.all(np.isfinite(lfit.coefs[0]))
-        assert np.linalg.norm(lfit.coefs[0]) < 20
+        assert np.all(np.isfinite(lfit.coef[0]))
+        assert np.linalg.norm(lfit.coef[0]) < 20
+
+    def test_local_zero_rank_group_predicts_through_zero(self):
+        """A group with an all-zero design has no coefficient: fit_local
+        lists it as failed and its rows predict inv_link(0). Every other
+        group predicts through its own row of coef, looked up by id (the
+        blocks here are in descending id order)."""
+        ds0, _ = gen_replicate(6, 120, 2, 2, GAUSSIAN, seed=67)
+        zero = ds0.ids[2]
+        groups = tuple(
+            type(g)(group_id=g.group_id, y=g.y,
+                    X=g.X * (g.group_id != zero), Z=g.Z * (g.group_id != zero))
+            for g in reversed(ds0.groups))
+        ds = GroupedDataset(groups=groups, p=2, q=2)
+        lfit = fit_local(ds, GAUSSIAN)
+        assert lfit.failed == (zero,)
+        assert lfit.ids == tuple(i for i in ds0.ids if i != zero)
+        mu = ds.split(lfit.predict(ds, GAUSSIAN))
+        for g, m in zip(ds.groups, mu):
+            if g.group_id == zero:
+                assert np.array_equal(m, GAUSSIAN.inv_link(np.zeros(g.n)))
+            else:
+                coef = lfit.coef[lfit.ids.index(g.group_id)]
+                np.testing.assert_allclose(m, np.hstack([g.X, g.Z]) @ coef,
+                                           rtol=1e-12, atol=1e-12)
 
 
 class TestRunStudy:
@@ -344,10 +366,9 @@ class TestEndToEnd:
         rec = losses(truth, fit, post, GAUSSIAN, ds)
 
         gfit = fit_global(ds, GAUSSIAN)
-        mu_g = [gfit.predict(g.X, g.Z, GAUSSIAN) for g in ds.groups]
+        mu_g = ds.split(gfit.predict(ds.X, ds.Z, GAUSSIAN))
         lfit = fit_local(ds, GAUSSIAN)
-        mu_l = [lfit.predict_group(g.group_id, g.X, g.Z, GAUSSIAN)
-                for g in ds.groups]
+        mu_l = ds.split(lfit.predict(ds, GAUSSIAN))
         pred_g = _pred_loss(truth, mu_g, GAUSSIAN)
         pred_l = _pred_loss(truth, mu_l, GAUSSIAN)
         assert rec.pred_loss < pred_g
