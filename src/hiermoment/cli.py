@@ -28,6 +28,9 @@ EXIT_NUMERIC = 3
 
 INTERCEPT = "(intercept)"
 
+# Rows formatted and written at a time by ``_write_table``.
+_CHUNK = 1 << 14
+
 
 class _InputError(Exception):
     pass
@@ -83,25 +86,37 @@ def _split_cols(arg: str) -> list[str]:
     return [c for c in (s.strip() for s in arg.split(",")) if c]
 
 
-def _read_table(path: str):
-    """Read a comma-delimited file with a header row; all cells as strings."""
+def _read_records(path: str, count=None):
+    """The first ``count`` records of a comma-delimited file (all of them by
+    default) as lists of strings, and the line after the last one read."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            rows = list(itertools.islice(reader, count))
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e}") from e
     except csv.Error as e:
         raise _InputError(f"{path}: line {reader.line_num}: {e}") from None
+    return rows, reader.line_num + 1
+
+
+def _line(path: str, record: int) -> int:
+    """The file line on which a record starts, counting the header as record
+    0: a quoted field may hold line breaks, so records and lines differ."""
+    return _read_records(path, record)[1]
+
+
+def _read_table(path: str):
+    """Read a comma-delimited file with a header row; all cells as strings."""
+    rows, _ = _read_records(path)
     if not rows:
         raise _InputError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     width = len(header)
-    for lineno, row in enumerate(rows[1:], start=2):
+    for i, row in enumerate(rows):
         if len(row) != width:
-            raise _InputError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-            )
+            raise _InputError(f"{path}: line {_line(path, i)}: "
+                              f"expected {width} fields, got {len(row)}")
     return header, rows[1:]
 
 
@@ -113,14 +128,14 @@ def _numeric_column(path, header, rows, col):
             out[i] = float(row[j])
         except ValueError:
             raise _InputError(
-                f"{path}: line {i + 2}: column {col!r}: "
+                f"{path}: line {_line(path, i + 1)}: column {col!r}: "
                 f"cannot parse {row[j]!r} as a number"
             ) from None
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise _InputError(f"{path}: line {i + 2}: column {col!r}: "
-                          f"{rows[i][j]!r} is not a finite number")
+        raise _InputError(f"{path}: line {_line(path, i + 1)}: column "
+                          f"{col!r}: {rows[i][j]!r} is not a finite number")
     return out
 
 
@@ -143,11 +158,13 @@ def _parse_columns(path, select):
             if not set(numeric + text) <= set(header) \
                     or set(numeric) & set(text):
                 return None
-            kinds = [object] * len(header)
+            # One field per header column, so that numpy checks each row's
+            # width; a column not read is held as one character per cell.
+            kinds = ["U1"] * len(header)
+            for name in text:
+                kinds[header.index(name)] = object
             for name in numeric:
                 kinds[header.index(name)] = float
-            # One field per header column, so that numpy checks each row's
-            # width.
             dtype = np.dtype([(f"f{j}", k) for j, k in enumerate(kinds)])
             first = next(fh, "")
             table = np.loadtxt(
@@ -290,17 +307,43 @@ def _read_fit_artifact(path):
     }
 
 
+def _csv_field(text: str) -> str:
+    """A field as the csv module writes it in a row of two or more fields:
+    in quotes, with each ``"`` doubled, if it holds ``,``, ``"``, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_table(path, header, ids, where, columns):
+    """Write a CSV file, byte for byte as the csv module's default writer
+    would: minimal quoting and CRLF line ends.
+
+    Row i holds the id ``ids[where[i]]``, then entry i of each column: a
+    float as its ``repr``, a bool as 0 or 1. The file is written column by
+    column, ``_CHUNK`` rows at a time, and each distinct id is quoted once.
+    """
+    fields = np.array([_csv_field(g) for g in ids], dtype=object)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(map(_csv_field, header)) + "\r\n")
+        for lo in range(0, len(where), _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            cells = [fields[where[rows]].tolist()]
+            for col in columns:
+                part = col[rows]
+                cells.append(np.where(part, "1", "0").tolist()
+                             if part.dtype == bool
+                             else map(repr, part.tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def _write_posteriors(path, posteriors):
     M, q = posteriors.means.shape
     header = ["group_id"]
     header += [f"mean_{j}" for j in range(q)]
     header += [f"cov_{j}_{k}" for j in range(q) for k in range(q)]
     values = np.hstack([posteriors.means, posteriors.covs.reshape(M, q * q)])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # The csv module writes a float as its repr.
-        writer.writerows(zip(map(str, posteriors.ids), *values.T.tolist()))
+    _write_table(path, header, posteriors.ids, np.arange(M), list(values.T))
 
 
 def _read_posteriors(path, q) -> PosteriorSet:
@@ -318,8 +361,8 @@ def _read_posteriors(path, q) -> PosteriorSet:
     _, first = np.unique(ids, return_index=True)
     if first.size < ids.size:
         i = np.setdiff1d(np.arange(ids.size), first)[0]
-        raise _InputError(f"{path}: line {i + 2}: group id {ids[i]!r} "
-                          "appears in an earlier row")
+        raise _InputError(f"{path}: line {_line(path, i + 1)}: group id "
+                          f"{ids[i]!r} appears in an earlier row")
     values = np.column_stack([cols[col] for col in header[1:]])
     return PosteriorSet(tuple(ids.tolist()), values[:, :q],
                         values[:, q:].reshape(-1, q, q))
@@ -380,29 +423,32 @@ def _cmd_predict(args) -> int:
         return fixed + random, [group_col]
 
     _, cols = _read_columns(args.input, select)
-    ids = cols[group_col].astype(str)
+    ids = cols.pop(group_col).astype(str)
     n = ids.size
+    # One stable sort by id gives the dataset's order: groups ascending, rows
+    # in input order within a group. It also puts the predictions back.
+    order = np.argsort(ids, kind="stable")
+    cols = {name: col[order] for name, col in cols.items()}
     X, _ = _design(cols, n, fixed, INTERCEPT in model["fixed_names"])
     Z, _ = _design(cols, n, random, INTERCEPT in model["random_names"])
+    del cols
 
+    group_ids = ()
     mu = np.empty(n)
     unseen = np.empty(n, dtype=bool)
+    where = np.empty(n, dtype=np.intp)
     if n:
         # The response is not read; zeros stand in for it.
-        dataset = GroupedDataset.from_long(np.zeros(n), X, Z, ids)
+        dataset = GroupedDataset.from_long(np.zeros(n), X, Z, ids[order])
         mu_g, unseen_g = predict_grouped(dataset, model["beta"], posteriors,
                                          family)
-        # Groups come back in ascending id order, rows in input order within
-        # each group.
-        order = np.argsort(ids, kind="stable")
+        group_ids = dataset.ids
         mu[order] = np.concatenate(mu_g)
         unseen[order] = np.repeat(unseen_g, dataset.sizes)
+        where[order] = np.repeat(np.arange(len(group_ids)), dataset.sizes)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([group_col, "mu_hat", "unseen_group"])
-        writer.writerows(zip(ids.tolist(), map(repr, mu.tolist()),
-                             unseen.astype(int).tolist()))
+    _write_table(args.out, [group_col, "mu_hat", "unseen_group"], group_ids,
+                 where, [mu, unseen])
     print(f"predicted {n} rows; wrote {args.out}")
     return EXIT_OK
 

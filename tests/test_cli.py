@@ -551,6 +551,44 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert str(posts) in err and "line 5" in err and "'a'" in err
 
+    @pytest.mark.parametrize("body, message", [
+        ("a,0.5,0.1\na,100.0,0.1\n",
+         "line 5: group id 'a' appears in an earlier row"),
+        ("b,oops,0.1\n",
+         "line 4: column 'mean_0': cannot parse 'oops' as a number"),
+    ], ids=["repeated_id", "unparseable"])
+    def test_posterior_errors_report_file_lines(self, tmp_path, capsys, body,
+                                                message):
+        """A quoted id holding a line break spans two lines of the file, and
+        the errors after it give file lines, not record counts."""
+        src = tmp_path / "data.csv"
+        model, posts = tmp_path / "fit.txt", tmp_path / "post.csv"
+        _oneway_csv(src)
+        assert main(["fit", "--input", str(src), "--group-col", "g",
+                     "--response-col", "y", "--out", str(model)]) == 0
+        posts.write_text('group_id,mean_0,cov_0_0\n"x\ny",0.5,0.1\n' + body)
+        rc = main(["predict", "--model", str(model), "--posteriors",
+                   str(posts), "--input", str(src),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {posts}: {message}\n"
+
+    @pytest.mark.parametrize("body, message", [
+        ("a,2.0\na,3.0,9\n", "line 5: expected 2 fields, got 3"),
+        ("a,2.0\na,oops\n",
+         "line 5: column 'y': cannot parse 'oops' as a number"),
+        ("a,inf\n", "line 4: column 'y': 'inf' is not a finite number"),
+        ("\na,2.0\n", "line 4: expected 2 fields, got 0"),
+    ], ids=["ragged", "unparseable", "nonfinite", "blank"])
+    def test_fit_input_errors_report_file_lines(self, tmp_path, capsys,
+                                                body, message):
+        src = tmp_path / "bad.csv"
+        src.write_text('g,y\n"a\nb",1.0\n' + body)
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
     def test_aliased_design_exits_3_with_hint(self, tmp_path, capsys):
         rng = np.random.default_rng(97)
         rows = []
