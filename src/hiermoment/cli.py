@@ -142,14 +142,17 @@ def _numeric_column(path, header, rows, col):
 def _parse_columns(path, select):
     """One numpy pass over the file's rows, or None where the cell-by-cell
     reader must judge the file: a decoding or parse error, a ragged row, a
-    blank line, a non-finite number, or a header that ``select`` refuses."""
+    blank line, a NUL character, a non-finite number, or a header that
+    ``select`` refuses."""
     try:
         with open(path, newline="") as fh:
             raw = fh.read()
             # numpy skips a blank line, where the csv module reads a row of
-            # no fields.
-            if raw[:1] in ("\n", "\r") or "\n\n" in raw or (
-                    "\r" in raw and ("\n\r" in raw or "\r\r" in raw)):
+            # no fields; and numpy's strings drop an id's trailing NUL,
+            # which the cell-by-cell reader refuses.
+            blank = raw[:1] in ("\n", "\r") or "\n\n" in raw or (
+                "\r" in raw and ("\n\r" in raw or "\r\r" in raw))
+            if blank or "\x00" in raw:
                 return None
             del raw
             fh.seek(0)
@@ -184,10 +187,11 @@ def _read_columns(path, select):
 
     ``select(header)`` checks the header and names the columns wanted as
     ``(numeric, text)``: numeric columns come back as finite float arrays,
-    text columns as object arrays of str. One numpy pass reads the usual
-    file. Whatever it refuses is read again cell by cell, which raises the
-    located error, or returns the values where ``float()`` accepts a cell
-    that numpy does not (such as ``1_0``).
+    text columns (the group ids) as object arrays of str, none of which
+    ends in a NUL character. One numpy pass reads the usual file. Whatever
+    it refuses is read again cell by cell, which raises the located error,
+    or returns the values where ``float()`` accepts a cell that numpy does
+    not (such as ``1_0``).
     """
     parsed = _parse_columns(path, select)
     if parsed is not None:
@@ -201,7 +205,13 @@ def _read_columns(path, select):
         cols[name] = _numeric_column(path, header, rows, name)
     for name in text:
         j = header.index(name)
-        cols[name] = np.array([row[j] for row in rows], dtype=object)
+        cells = [row[j] for row in rows]
+        nul = next((i for i, cell in enumerate(cells)
+                    if cell.endswith("\x00")), None)
+        if nul is not None:
+            raise _InputError(f"{path}: line {_line(path, nul + 1)}: group "
+                              f"id {cells[nul]!r} ends in a NUL character")
+        cols[name] = np.array(cells, dtype=object)
     return header, cols
 
 

@@ -84,20 +84,27 @@ class GroupedDataset:
         X : array-like of shape (N, p)
         Z : array-like of shape (N, q)
         group_ids : sequence of length N
-            Orderable, hashable group keys, all of one type; an ndarray is
-            taken as it is.
+            Orderable, hashable group keys, all of one type; a string may
+            not end in a NUL character. An ndarray is taken as it is.
         """
         y = np.ascontiguousarray(y, dtype=float)
         X = np.ascontiguousarray(X, dtype=float)
         Z = np.ascontiguousarray(Z, dtype=float)
         if not isinstance(group_ids, np.ndarray):
-            # numpy would turn [1, "1"] into two equal strings, one group.
+            # numpy would turn [1, "1"] into two equal strings, one group,
+            # and "a\0" into "a": its fixed-width strings drop trailing NULs.
             group_ids = list(group_ids)
             types = set(map(type, group_ids))
             if len(types) > 1:
                 names = " and ".join(sorted(t.__name__ for t in types))
                 raise ValueError(f"group ids mix {names} values; give ids "
                                  "of one type")
+            if types and issubclass(types.pop(), (str, bytes)):
+                nul = next((g for g in group_ids
+                            if g[-1:] in ("\x00", b"\x00")), None)
+                if nul is not None:
+                    raise ValueError(f"group id {nul!r} ends in a NUL "
+                                     "character")
         ids = np.asarray(group_ids)
         if not (y.shape[0] == X.shape[0] == Z.shape[0] == ids.shape[0]):
             raise ValueError("y, X, Z, and group_ids must have equal length")
@@ -106,9 +113,17 @@ class GroupedDataset:
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         first = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+        return cls._from_columns(y[order], X[order], Z[order],
+                                 tuple(ids[first].tolist()),
+                                 np.append(first, ids.shape[0]),
+                                 X.shape[1], Z.shape[1])
+
+    @classmethod
+    def _from_columns(cls, y, X, Z, ids, offsets, p, q):
+        """A dataset over columns whose rows are already in group blocks:
+        group i is rows ``offsets[i]:offsets[i + 1]`` with key ``ids[i]``."""
         self = cls.__new__(cls)
-        self._fill(y[order], X[order], Z[order], tuple(ids[first].tolist()),
-                   np.append(first, ids.shape[0]), X.shape[1], Z.shape[1])
+        self._fill(y, X, Z, ids, offsets, p, q)
         return self
 
     def _fill(self, y, X, Z, ids, offsets, p, q):
@@ -132,9 +147,8 @@ class GroupedDataset:
 
     def with_columns(self, X: np.ndarray, Z: np.ndarray) -> "GroupedDataset":
         """The same groups and responses with new design columns."""
-        out = type(self).__new__(type(self))
-        out._fill(self.y, X, Z, self.ids, self.offsets, self.p, self.q)
-        return out
+        return self._from_columns(self.y, X, Z, self.ids, self.offsets,
+                                  self.p, self.q)
 
     @property
     def n_groups(self) -> int:

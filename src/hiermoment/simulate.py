@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .combine import FitOptions, MomentFit, fit_moment
-from .data import GroupData, GroupedDataset
+from .data import GroupedDataset
 from .ebayes import _grouped_dot, posterior_set, predict_grouped
 from .errors import HierMomentError
 from .families import Family, expit, fit_glm
@@ -41,7 +42,8 @@ class SimTruth:
 
     ``u`` has one row per group (including groups allocated zero
     observations); ``mu`` holds the true per-observation means for each
-    nonempty group, aligned with the dataset's group order.
+    nonempty group, aligned with the dataset's group order. Its entries are
+    views of one long array laid out like the dataset's ``y``.
     """
 
     beta: np.ndarray
@@ -60,10 +62,80 @@ class LossRecord:
     seconds: float = float("nan")
 
 
-def _philox(*key) -> np.random.Generator:
-    # Counter-based generator; the key tuple is the stream address, so draws
-    # are independent of scheduling and of other streams.
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+# numpy's SeedSequence hash (pool of four 32-bit words, no spawn key), ported
+# to words that are ints or uint32 arrays, so that one pass of array
+# operations hashes the entropy of every group at once.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# Up to this many groups the keys are hashed one group at a time: below it
+# numpy's fixed cost per array operation outweighs the loop.
+_LOOP_KEYS = 6
+
+
+@lru_cache(maxsize=32)
+def _multipliers(init: int, mult: int, calls: int) -> tuple:
+    """``init * mult**k`` mod 2**32 for k = 0..calls: hash call k xors its
+    word with entry k and multiplies it by entry k + 1."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+def _hashmix(value, constants):
+    a, b = next(constants)
+    value = (value ^ a) * b & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_state(entropy: list) -> list:
+    """The four 32-bit words, low word first, of
+    ``SeedSequence(entropy).generate_state(2, np.uint64)``.
+
+    Each entropy word is an int below 2**32 or a uint32 array; an array
+    hashes element-wise, giving one state per element.
+    """
+    table = _multipliers(_INIT_A, _MULT_A,
+                         _POOL * max(len(entropy), _POOL))
+    constants = zip(table, table[1:])
+    pool = [_hashmix(entropy[j] if j < len(entropy) else 0, constants)
+            for j in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    table = _multipliers(_INIT_B, _MULT_B, _POOL)
+    constants = zip(table, table[1:])
+    return [_hashmix(word, constants) for word in pool]
+
+
+def _uint32_words(n: int) -> list:
+    """A non-negative int as SeedSequence reads it: 32-bit words, least
+    significant first."""
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _group_keys(base: tuple, M: int) -> list:
+    """The Philox key of group i's stream, ``SeedSequence((*base, 1,
+    i)).generate_state(2, np.uint64)``, for each i < M, as two ints."""
+    head = [w for v in base for w in _uint32_words(v)] + [1]
+    if M <= _LOOP_KEYS:
+        return [[w0 | w1 << 32, w2 | w3 << 32] for w0, w1, w2, w3
+                in (_seed_state(head + [i]) for i in range(M))]
+    w0, w1, w2, w3 = (w.astype(np.uint64) for w in
+                      _seed_state(head + [np.arange(M, dtype=np.uint32)]))
+    return np.stack([w0 | w1 << 32, w2 | w3 << 32], axis=1).tolist()
 
 
 def _entropy(seed) -> tuple:
@@ -88,20 +160,40 @@ def gen_replicate(
     entries are +/-1 with equal probability; responses are Bernoulli through
     the logit link, or gaussian with unit noise variance.
 
-    ``seed`` may be an int or a tuple of ints; streams are split per
-    replicate and per group, so results do not depend on execution order.
+    ``seed`` is a non-negative int or a tuple of them (a negative one raises
+    ``ValueError``). Streams are split per replicate and per group, so
+    results do not depend on execution order:
+
+    - beta, Sigma and the group sizes come from
+      ``Philox(SeedSequence((*seed, 0)))``;
+    - group i draws from Philox with the key
+      ``SeedSequence((*seed, 1, i)).generate_state(2, np.uint64)`` and the
+      counter at 0, in this order: q normals for its random effect, its
+      n (p + q) signs in one ``integers(0, 2)`` call (X row by row, then Z),
+      and n normals (gaussian) or n uniforms (logit) for its responses.
+
+    Philox is counter-based, so re-keying one bit generator per group gives
+    the same draws as a new generator per group. The keys of all M groups
+    are hashed in one pass of uint32 array operations (a port of
+    SeedSequence's hash), not by M SeedSequence objects. The rows are in
+    ascending group order.
     """
     if min(M, N, p, q) < 1:
         raise ValueError("M, N, p, q must all be >= 1")
     base = _entropy(seed)
-    pop_rng = _philox(*base, 0)
+    pop_rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((*base, 0))))
+    # Counter 0 and empty buffers: each group sets its key into this state.
+    bit_generator = pop_rng.bit_generator
+    fresh = bit_generator.state
 
     beta = pop_rng.standard_t(4, size=p)
     df = 2 * q
     # Bartlett factor of Wishart(df, I): lower triangle N(0,1), diagonal
     # sqrt of chi-square with decreasing dfs.
     A = np.zeros((q, q))
-    A[np.tril_indices(q, -1)] = pop_rng.standard_normal(q * (q - 1) // 2)
+    A[np.tri(q, k=-1, dtype=bool)] = pop_rng.standard_normal(
+        q * (q - 1) // 2)
     A[np.diag_indices(q)] = np.sqrt(pop_rng.chisquare(df - np.arange(q)))
     Linv = np.linalg.solve(A, np.eye(q))
     Sigma = 0.1 * (Linv.T @ Linv)
@@ -112,28 +204,32 @@ def gen_replicate(
 
     chol = np.linalg.cholesky(Sigma)
     u = np.empty((M, q))
-    groups = []
-    mu_list = []
+    y, mu = np.empty(N), np.empty(N)
+    X, Z = np.empty((N, p)), np.empty((N, q))
     gaussian = family.name == "gaussian"
-    for i in range(M):
-        rng = _philox(*base, 1, i)
-        u[i] = chol @ rng.standard_normal(q)
-        n = int(n_alloc[i])
+    stop = 0
+    for i, (key, n) in enumerate(zip(_group_keys(base, M), n_alloc.tolist())):
+        fresh["state"]["key"] = key
+        bit_generator.state = fresh
+        u[i] = chol @ pop_rng.standard_normal(q)
         if n == 0:
             continue
-        X = 2.0 * rng.integers(0, 2, size=(n, p)) - 1.0
-        Z = 2.0 * rng.integers(0, 2, size=(n, q)) - 1.0
-        eta = X @ beta + Z @ u[i]
+        start, stop = stop, stop + n
+        signs = 2.0 * pop_rng.integers(0, 2, size=n * (p + q)) - 1.0
+        X_i, Z_i = X[start:stop], Z[start:stop]
+        X_i[...] = signs[:n * p].reshape(n, p)
+        Z_i[...] = signs[n * p:].reshape(n, q)
         if gaussian:
-            mu = eta
-            y = eta + rng.standard_normal(n)
+            mu_i = np.add(X_i @ beta, Z_i @ u[i], out=mu[start:stop])
+            np.add(mu_i, pop_rng.standard_normal(n), out=y[start:stop])
         else:
-            mu = expit(eta)
-            y = (rng.random(n) < mu).astype(float)
-        groups.append(GroupData(group_id=i, y=y, X=X, Z=Z))
-        mu_list.append(mu)
-    dataset = GroupedDataset(groups=tuple(groups), p=p, q=q)
-    truth = SimTruth(beta=beta, Sigma=Sigma, u=u, mu=tuple(mu_list),
+            mu_i = mu[start:stop]
+            mu_i[...] = expit(X_i @ beta + Z_i @ u[i])
+            y[start:stop] = pop_rng.random(n) < mu_i
+    offsets = np.concatenate([[0], np.cumsum(n_alloc[n_alloc > 0])])
+    dataset = GroupedDataset._from_columns(
+        y, X, Z, tuple(np.flatnonzero(n_alloc).tolist()), offsets, p, q)
+    truth = SimTruth(beta=beta, Sigma=Sigma, u=u, mu=tuple(dataset.split(mu)),
                      n_alloc=n_alloc)
     return dataset, truth
 

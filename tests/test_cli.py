@@ -589,6 +589,50 @@ class TestErrorPaths:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
+    @staticmethod
+    def _nul_csv(path, ids):
+        rows = [[gid, repr(float(k))] for gid in ids for k in range(5)]
+        _write_csv(path, ["g", "y"], rows)
+
+    def test_fit_rejects_id_ending_in_nul(self, tmp_path, capsys):
+        """numpy's strings drop a trailing NUL, so "a\0" would fit as "a".
+        Python 3.10's csv module refuses any NUL, at the same line."""
+        src = tmp_path / "nul.csv"
+        self._nul_csv(src, ["a", "a\x00", "b", "c"])
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: line 7: ") and "NUL" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_predict_rejects_id_ending_in_nul(self, tmp_path, capsys):
+        src, new = tmp_path / "data.csv", tmp_path / "new.csv"
+        model, out = tmp_path / "fit.txt", tmp_path / "pred.csv"
+        _oneway_csv(src)
+        assert main(["fit", "--input", str(src), "--group-col", "g",
+                     "--response-col", "y", "--out", str(model)]) == 0
+        self._nul_csv(new, ["b", "a\x00"])
+        rc = main(["predict", "--model", str(model), "--input", str(new),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {new}: line 7: ") and "NUL" in err
+        assert not out.exists()
+
+    def test_inner_nul_keeps_its_group(self, tmp_path, capsys):
+        """Only a trailing NUL is lost by numpy, so "a\0b" is its own group
+        where the csv module reads it (Python 3.11 on)."""
+        src = tmp_path / "nul.csv"
+        self._nul_csv(src, ["a", "a\x00b", "ab"])
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--out", str(tmp_path / "o")])
+        out = capsys.readouterr()
+        if sys.version_info >= (3, 11):
+            assert rc == 0 and out.out.startswith("fit 3 groups, 15 ")
+        else:
+            assert rc == 2 and f"{src}: line 7: " in out.err
+
     def test_aliased_design_exits_3_with_hint(self, tmp_path, capsys):
         rng = np.random.default_rng(97)
         rows = []

@@ -3,6 +3,8 @@ on-demand GroupData views, and the bulk input checks."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,14 @@ class TestChecks:
                                       np.array(["1", "1", "2", "a"]))
         assert ds.ids == ("1", "2", "a")
         assert np.array_equal(ds.sizes, [2, 1, 1])
+
+    def test_id_ending_in_nul_rejected(self):
+        """numpy's fixed-width strings drop trailing NULs, which would merge
+        "a\0" with "a"; a list holding such an id is refused by name."""
+        y, ones = np.arange(4.0), np.ones((4, 1))
+        for ids in (["a", "a\x00", "b", "a"], [b"a", b"a\x00", b"b", b"a"]):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{ids[1]!r} ends in a NUL")):
+                GroupedDataset.from_long(y, ones, ones, ids)
+        ds = GroupedDataset.from_long(y, ones, ones, ["a", "a\x00b", "b", "a"])
+        assert ds.ids == ("a", "a\x00b", "b")

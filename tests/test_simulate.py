@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from hiermoment.combine import MomentFit, ScaleRecord, fit_moment
-from hiermoment.data import GroupedDataset
+from hiermoment.data import GroupData, GroupedDataset
 from hiermoment.ebayes import PosteriorSet, posterior_set
-from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN
+from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN, expit
 from hiermoment.simulate import (
     SimTruth,
     fit_global,
@@ -26,7 +26,12 @@ from hiermoment.simulate import (
     run_study,
     study_table,
 )
-from hiermoment.simulate import _pred_loss
+from hiermoment.simulate import (
+    _LOOP_KEYS,
+    _group_keys,
+    _pred_loss,
+    _seed_state,
+)
 
 
 def _stub_fit(beta, sigma, phi=1.0):
@@ -108,6 +113,150 @@ class TestGenerator:
         mean_S = draws_S.mean(axis=0)
         se_S = draws_S.std(axis=0, ddof=1) / math.sqrt(5000)
         assert np.all(np.abs(mean_S - target) < 4 * se_S)
+
+
+def _reference_replicate(M, N, p, q, family, seed):
+    """gen_replicate as first written: a new Philox generator per group,
+    seeded through SeedSequence, X and Z drawn by two calls, and the
+    dataset built from GroupData blocks."""
+    base = tuple(seed) if isinstance(seed, tuple) else (seed,)
+
+    def stream(*key):
+        return np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(key)))
+
+    pop_rng = stream(*base, 0)
+    beta = pop_rng.standard_t(4, size=p)
+    A = np.zeros((q, q))
+    A[np.tril_indices(q, -1)] = pop_rng.standard_normal(q * (q - 1) // 2)
+    A[np.diag_indices(q)] = np.sqrt(pop_rng.chisquare(2 * q - np.arange(q)))
+    Linv = np.linalg.solve(A, np.eye(q))
+    Sigma = 0.1 * (Linv.T @ Linv)
+    Sigma = (Sigma + Sigma.T) / 2.0
+    rates = pop_rng.exponential(scale=N / M, size=M)
+    n_alloc = pop_rng.multinomial(N, rates / rates.sum())
+    chol = np.linalg.cholesky(Sigma)
+    u = np.empty((M, q))
+    groups, mus = [], []
+    for i in range(M):
+        rng = stream(*base, 1, i)
+        u[i] = chol @ rng.standard_normal(q)
+        n = int(n_alloc[i])
+        if n == 0:
+            continue
+        X = 2.0 * rng.integers(0, 2, size=(n, p)) - 1.0
+        Z = 2.0 * rng.integers(0, 2, size=(n, q)) - 1.0
+        eta = X @ beta + Z @ u[i]
+        if family.name == "gaussian":
+            mu, y = eta, eta + rng.standard_normal(n)
+        else:
+            mu = expit(eta)
+            y = (rng.random(n) < mu).astype(float)
+        groups.append(GroupData(i, y, X, Z))
+        mus.append(mu)
+    return (GroupedDataset(groups, p, q),
+            SimTruth(beta=beta, Sigma=Sigma, u=u, mu=tuple(mus),
+                     n_alloc=n_alloc))
+
+
+class TestReplicateStreams:
+    """gen_replicate re-keys one Philox per group and hashes every group's
+    key at once; its draws must be those of one new generator per group."""
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    @pytest.mark.parametrize("M, N, p, q, seed", [
+        (40, 900, 3, 3, 7),
+        (25, 300, 2, 2, (2**40 + 3, 1)),
+        (30, 250, 1, 2, (3, 1, 4, 1, 5)),
+        (12, 97, 2, 1, 5),
+        (60, 40, 2, 2, 11),
+        (3, 50, 2, 3, (0, 2**64 + 9)),
+    ], ids=["int_seed", "word_over_2_32", "five_ints", "odd_signs",
+            "zero_row_groups", "few_groups"])
+    def test_matches_per_group_reference(self, M, N, p, q, seed, family):
+        ds, truth = gen_replicate(M, N, p, q, family, seed=seed)
+        ref_ds, ref = _reference_replicate(M, N, p, q, family, seed)
+        for name in ("y", "X", "Z", "offsets"):
+            assert np.array_equal(getattr(ds, name), getattr(ref_ds, name))
+        assert ds.offsets.dtype == ref_ds.offsets.dtype
+        assert ds.ids == ref_ds.ids
+        for name in ("u", "beta", "Sigma", "n_alloc"):
+            assert np.array_equal(getattr(truth, name), getattr(ref, name))
+        assert [m.shape for m in truth.mu] == [m.shape for m in ref.mu]
+        assert np.array_equal(np.concatenate(truth.mu),
+                              np.concatenate(ref.mu))
+
+    def test_cases_reach_their_branches(self):
+        """The odd, empty-group and few-group cases above test what their
+        names say."""
+        _, odd = gen_replicate(12, 97, 2, 1, GAUSSIAN, seed=5)
+        assert np.any(odd.n_alloc * 3 % 2 == 1)
+        _, sparse = gen_replicate(60, 40, 2, 2, GAUSSIAN, seed=11)
+        assert np.any(sparse.n_alloc == 0)
+        assert 3 <= _LOOP_KEYS < 12
+
+    def test_group_keys_match_seed_sequence(self):
+        bases = [(0,), (7,), (2**32 - 1,), (2**32,), (2**40 + 3, 1),
+                 (3, 1, 4, 1, 5), (2**64 + 9, 0, 2**33)]
+        count = 0
+        for base in bases:
+            for M in (_LOOP_KEYS, 200):
+                keys = _group_keys(base, M)
+                assert keys == [np.random.SeedSequence((*base, 1, i))
+                                .generate_state(2, np.uint64).tolist()
+                                for i in range(M)]
+                count += M
+        assert count >= 1000
+
+    def test_seed_state_of_every_length(self):
+        """Entropy shorter than the pool, as long, and longer; as ints, and
+        with an array of words in any position."""
+        rng = np.random.default_rng(3)
+        for length in range(1, 10):
+            words = rng.integers(0, 2**32, size=(50, length), dtype=np.uint32)
+            words[0] = 0
+            words[1] = 2**32 - 1
+            for row in words[:5]:
+                assert _seed_state(row.tolist()) == \
+                    np.random.SeedSequence(row.tolist()).generate_state(
+                        4, np.uint32).tolist()
+            for j in range(length):
+                entropy = words[0].tolist()
+                entropy[j] = words[:, j]
+                state = np.array(_seed_state(entropy), np.uint32).T
+                for row, expected in zip(words, state):
+                    entropy = words[0].tolist()
+                    entropy[j] = int(row[j])
+                    assert np.array_equal(
+                        expected, np.random.SeedSequence(entropy)
+                        .generate_state(4, np.uint32))
+
+    def test_negative_seed_rejected(self):
+        for seed in (-1, (1, -2)):
+            with pytest.raises(ValueError):
+                gen_replicate(3, 10, 1, 1, GAUSSIAN, seed=seed)
+
+    def test_one_seed_sequence_per_replicate(self, monkeypatch):
+        """Only the population stream is built through SeedSequence; the
+        groups re-key its bit generator."""
+        built = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        gen_replicate(50, 400, 2, 2, GAUSSIAN, seed=(4, 2))
+        assert built == [((4, 2, 0),)]
+
+    def test_mu_views_one_long_array(self):
+        ds, truth = gen_replicate(20, 300, 2, 2, BINOMIAL_LOGIT, seed=8)
+        long = truth.mu[0].base
+        assert long is not None and long.shape == ds.y.shape
+        assert all(m.base is long for m in truth.mu)
+        assert np.array_equal(np.concatenate(truth.mu), long)
 
 
 class TestLosses:
