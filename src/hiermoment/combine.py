@@ -140,7 +140,7 @@ def ahat(
 ) -> np.ndarray:
     """Weighted outer-product statistic of group deviations from ``b``."""
     resid = summary_set.theta - np.einsum("mpk,p->mk", summary_set.V1, b)
-    a = np.einsum("mqk,mkl,ml->mq", summary_set.V2, weights, resid)
+    a = (summary_set.V2 @ (weights @ resid[..., None]))[..., 0]
     return sym(a.T @ a)
 
 
@@ -221,7 +221,11 @@ def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
     """
 
     def _column_scales(F):
-        lo, hi = F.min(axis=0), F.max(axis=0)
+        # Reductions across the short axis of the (N, k) columns are slow:
+        # take the extremes along the rows of one transposed copy.
+        Ft = np.ascontiguousarray(F.T)
+        lo, hi = Ft.min(axis=1), Ft.max(axis=1)
+        del Ft
         # Square each column over its largest magnitude, so the sum of
         # squares neither overflows nor underflows at extreme scales.
         amax = np.maximum(np.abs(lo), np.abs(hi))
@@ -350,6 +354,12 @@ def fit_moment(
     )
 
 
+def _rank_buckets(ranks):
+    """(r, positions) for each distinct rank r in ``ranks``."""
+    for r in np.unique(ranks).tolist():
+        yield r, np.flatnonzero(ranks == r)
+
+
 def kappa_check(
     weights: np.ndarray,
     sigma: np.ndarray,
@@ -360,16 +370,24 @@ def kappa_check(
 
     Returns the largest eigenvalue of
     ``W^{1/2} (V2' Sigma V2 + phi D^{-2}) W^{1/2}`` over each group's
-    leading r x r block of the stacks; diagnostics only.
+    leading r x r block of the stacks, one stacked eigensolve per rank;
+    diagnostics only.
     """
     sigma = np.asarray(sigma, dtype=float)
     V2 = summary_set.V2
     mids = V2.swapaxes(1, 2) @ sigma @ V2 + phi * summary_set.precision_inv
     vals = np.empty(len(summary_set.ids))
-    for i, r in enumerate(summary_set.r.tolist()):
-        Wh = sym_sqrt(weights[i, :r, :r])
-        vals[i] = np.linalg.eigvalsh(sym(Wh @ mids[i, :r, :r] @ Wh))[-1]
+    for r, sel in _rank_buckets(summary_set.r):
+        Wh = sym_sqrt(weights[sel, :r, :r])
+        vals[sel] = np.linalg.eigvalsh(sym(Wh @ mids[sel, :r, :r] @ Wh))[:, -1]
     return vals
+
+
+def _largest_norm(stack, ranks) -> float:
+    """Largest spectral norm among the leading r x r blocks of a stack of
+    symmetric matrices."""
+    return max(float(np.abs(np.linalg.eigvalsh(stack[sel, :r, :r])).max())
+               for r, sel in _rank_buckets(ranks))
 
 
 def kappa_bound(
@@ -381,14 +399,11 @@ def kappa_bound(
     """Scheme-specific uniform bound on the :func:`kappa_check` values."""
     sigma = np.asarray(sigma, dtype=float)
     sig_norm = np.linalg.norm(sigma, 2)
-    ranks = summary_set.r.tolist()
     if spec.scheme == "unweighted":
-        worst = max(np.linalg.norm(P[:r, :r], 2)
-                    for P, r in zip(summary_set.precision_inv, ranks))
+        worst = _largest_norm(summary_set.precision_inv, summary_set.r)
         return float(sig_norm + phi * worst)
     if spec.scheme == "weighted":
-        worst = max(np.linalg.norm(P[:r, :r], 2)
-                    for P, r in zip(summary_set.precision, ranks))
+        worst = _largest_norm(summary_set.precision, summary_set.r)
         return float(sig_norm * worst + phi)
     if spec.scheme != "semiweighted":
         raise ValueError(f"unknown weight scheme {spec.scheme!r}")

@@ -136,9 +136,11 @@ class GroupedDataset:
         if np.any(sizes < 1):
             raise ValueError(f"group {ids[np.argmax(sizes < 1)]!r}: "
                              "empty response")
-        finite = np.isfinite(y) & np.isfinite(X).all(axis=1) \
-            & np.isfinite(Z).all(axis=1)
-        if not finite.all():
+        if not (np.isfinite(y).all() and np.isfinite(X).all()
+                and np.isfinite(Z).all()):
+            # Row-wise only to name the group of the first bad row.
+            finite = np.isfinite(y) & np.isfinite(X).all(axis=1) \
+                & np.isfinite(Z).all(axis=1)
             first = np.searchsorted(offsets, np.argmin(finite), side="right")
             raise ValueError(f"group {ids[first - 1]!r}: non-finite values")
         for name, value in [("y", y), ("X", X), ("Z", Z), ("ids", ids),

@@ -89,7 +89,7 @@ def _posteriors(V1, V2, theta, precision, beta, sigma, phi):
         return mean, np.zeros((M, q, q))
     K = sym(phi * np.eye(q) + A @ (V2 @ precision @ V2t) @ A)
     C = sym(A @ np.linalg.solve(K, np.broadcast_to(A, K.shape)))
-    mean = np.einsum("mab,mbk,mkl,ml->ma", C, V2, precision, resid)
+    mean = (C @ (V2 @ (precision @ resid[..., None])))[..., 0]
     return mean, phi * C
 
 

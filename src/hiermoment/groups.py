@@ -4,12 +4,13 @@ Each group's raw data (y_i, X_i, Z_i) collapses to an orthonormal basis of the
 identifiable coefficient subspace, a rotated coefficient estimate, and an
 unscaled precision matrix. The groups are read straight from the dataset's
 long columns: one stacked :func:`compact_svd` call factors every group's
-``[X Z]`` block (bucketed by exact row count, see :mod:`hiermoment.linalg`),
-and the coefficient fit, the plug-in precisions and the Pearson dispersions
-are each one call on all groups stacked (see :mod:`hiermoment.families`).
-There is no loop over groups, and each group's result depends on its own
-rows only. The summaries are written directly into zero-padded stacks
-ordered by group id, so every population sum over groups is one array
+``[X Z]`` block (bucketed by exact row count, see :mod:`hiermoment.linalg`).
+A gaussian group's least-squares fit is closed form in its SVD frame; logit
+groups are fitted, and their plug-in precisions taken, by one call each on
+all groups stacked (see :mod:`hiermoment.families`), as are the Pearson
+dispersions. There is no loop over groups, and each group's result depends
+on its own rows only. The summaries are written directly into zero-padded
+stacks ordered by group id, so every population sum over groups is one array
 operation; per-group :class:`GroupSummary` views are built on demand.
 """
 
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .families import (
     Family,
+    _Stack,
     fit_glm,
     pearson_dispersion,
     singular_precision,
@@ -78,11 +80,11 @@ class SummarySet:
     ``V2 (M, q, k)``, ``theta (M, k)`` and ``precision (M, k, k)``;
     ``precision_inv`` is the inverse stack and ``dispersion (M,)`` holds the
     groups' Pearson estimates (NaN where there is none). The padded
-    directions have zero V columns, zero theta and identity precision, so
-    they add exactly 0 to every sum over the stacks. ``summaries`` holds
-    per-group :class:`GroupSummary` views into the stacks, built on first
-    use. ``SummarySet(summaries, ...)`` stacks given summaries in the order
-    given.
+    directions have zero V columns, zero theta and identity precision (and
+    inverse), so they add exactly 0 to every sum over the stacks.
+    ``summaries`` holds per-group :class:`GroupSummary` views into the
+    stacks, built on first use. ``SummarySet(summaries, ...)`` stacks given
+    summaries in the order given.
     """
 
     p: int
@@ -122,25 +124,26 @@ class SummarySet:
             ids=tuple(s.group_id for s in summaries),
             n=np.fromiter((s.n for s in summaries), np.intp, r.size), r=r,
             dispersion=np.array([s.dispersion for s in summaries], dtype=float),
-            V=V, theta=theta, precision=precision, p=p, q=q,
+            V=V, theta=theta, precision=precision,
+            precision_inv=sym(np.linalg.inv(precision)), p=p, q=q,
             pooled_dispersion=pooled_dispersion, rho=rho, n_obs=n_obs,
             skipped=tuple(skipped))
 
     @classmethod
-    def _from_columns(cls, *, ids, n, r, dispersion, V, theta, precision, p,
-                      q, pooled_dispersion, skipped) -> "SummarySet":
+    def _from_columns(cls, *, ids, n, r, dispersion, V, theta, precision,
+                      precision_inv, p, q, pooled_dispersion,
+                      skipped) -> "SummarySet":
         self = cls.__new__(cls)
         self._fill(ids=ids, n=n, r=r, dispersion=dispersion, V=V,
-                   theta=theta, precision=precision, p=p, q=q,
+                   theta=theta, precision=precision,
+                   precision_inv=precision_inv, p=p, q=q,
                    pooled_dispersion=pooled_dispersion, rho=int(r.sum()),
                    n_obs=int(n.sum()), skipped=skipped)
         return self
 
     def _fill(self, *, V, p, **values):
-        values.update(
-            p=p, V1=np.ascontiguousarray(V[:, :p]),
-            V2=np.ascontiguousarray(V[:, p:]),
-            precision_inv=sym(np.linalg.inv(values["precision"])))
+        values.update(p=p, V1=np.ascontiguousarray(V[:, :p]),
+                      V2=np.ascontiguousarray(V[:, p:]))
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
@@ -163,20 +166,21 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
     """Reduce every group of ``dataset`` to its summary, as stacks.
 
     One stacked :func:`compact_svd` of the long ``[X Z]`` columns decides
-    each group's rank, and rank-0 groups are dropped by a mask. The rotated
-    designs ``F0 = U * d`` (zero-padded to k = p + q columns) are fitted
-    together by one :func:`fit_glm` call (Firth-penalized for
-    binomial-logit); the plug-in precisions and the Pearson dispersions are
-    one stacked call each. A gaussian group's precision is ``diag(d^2)``,
-    exact in the SVD frame.
+    each group's rank, and rank-0 groups are dropped by a mask. A gaussian
+    group with factors ``F = U diag(d) V'`` has the closed-form least-squares
+    fit ``theta = U'y / d`` in its SVD frame, fitted mean ``U U'y`` and
+    precision ``diag(d^2)``, all exact. Logit groups' rotated designs
+    ``F0 = U * d`` (zero-padded to k = p + q columns) are fitted together by
+    one Firth-penalized :func:`fit_glm` call, and their plug-in precisions
+    are one stacked call. The Pearson dispersions are one stacked call.
 
     Returns
     -------
     columns : dict
         The summarized groups, sorted by id (stably, so equal ids keep the
         dataset order): ``ids``, ``n``, ``r``, ``dispersion`` and the padded
-        stacks ``V (M, k, k)``, ``theta`` and ``precision``, laid out as in
-        :class:`SummarySet`.
+        stacks ``V (M, k, k)``, ``theta``, ``precision`` and
+        ``precision_inv``, laid out as in :class:`SummarySet`.
     skipped : list of (group id, HierMomentError)
         Groups that could not be summarized, sorted by id: an all-zero
         design (ZeroRankError), a fit that did not converge
@@ -184,6 +188,7 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
         (DegeneratePrecisionError).
     """
     k, sizes = dataset.p + dataset.q, dataset.sizes
+    gaussian = family.name == "gaussian"
     svd = compact_svd(np.hstack([dataset.X, dataset.Z]), rank_tol,
                       starts=dataset.offsets[:-1])
     kept = np.flatnonzero(svd.r > 0)
@@ -195,37 +200,56 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
     precision = np.zeros((kept.size, k, k))
     dispersion = np.full(kept.size, np.nan)
     if kept.size:
-        F0, y = svd.U, dataset.y
+        U, y = svd.U, dataset.y
         if reasons:
             rows = np.repeat(svd.r > 0, sizes)
-            F0, y = F0[rows], y[rows]
-        F0 *= np.repeat(d, n, axis=0)
-        starts = np.cumsum(n) - n
-        fit = fit_glm(y, F0, family, starts=starts, ranks=r)
-        theta = np.where(pad, 0.0, fit.coef)
-        if family.name == "gaussian":
-            precision[:, np.arange(k), np.arange(k)] = np.where(pad, 1.0, d * d)
-            problems = {}
+            U, y = U[rows], y[rows]
+        stack = _Stack(np.cumsum(n) - n, n, pad)
+        if gaussian:
+            # U is zero in the padded directions, so c and theta are too.
+            c = stack.sums(k, lambda lo, hi: U[lo:hi] * y[lo:hi, None])
+            np.divide(c, d, out=theta, where=~pad)
+            mu = stack.linear_predictor(U, c)
         else:
-            P = unscaled_precision(F0, fit.fitted_mean, family, starts, r)
-            problems = singular_precision(P, r)
+            F0 = U  # scaled in place: U is not read again
+            F0 *= np.repeat(d, n, axis=0)
+            fit = fit_glm(y, F0, family, starts=stack.starts, ranks=r)
+            theta, mu = np.where(pad, 0.0, fit.coef), fit.fitted_mean
+            P = unscaled_precision(F0, mu, family, stack.starts, r)
             precision = np.where(pad[:, :, None] | pad[:, None, :], np.eye(k), P)
+            for j in np.flatnonzero(~fit.converged).tolist():
+                reasons[int(kept[j])] = ConvergenceError(
+                    f"the fit did not converge in {fit.iterations} iterations")
+            for j, problem in singular_precision(P, r).items():
+                reasons.setdefault(int(kept[j]),
+                                   DegeneratePrecisionError(problem))
         if not family.dispersion_known:
-            dispersion = pearson_dispersion(y, fit.fitted_mean, family, r, starts)
-        for j in np.flatnonzero(~fit.converged).tolist():
-            reasons[int(kept[j])] = ConvergenceError(
-                f"the fit did not converge in {fit.iterations} iterations")
-        for j, problem in problems.items():
-            reasons.setdefault(int(kept[j]), DegeneratePrecisionError(problem))
+            dispersion = pearson_dispersion(y, mu, family, r, stack.starts)
     sel = np.flatnonzero(~np.isin(kept, list(reasons)))
     keys = list(map(dataset.ids.__getitem__, kept[sel].tolist()))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     sel = sel[np.array(order, dtype=np.intp)]
     skipped = sorted(((dataset.ids[i], e) for i, e in sorted(reasons.items())),
                      key=lambda e: e[0])
+    # The stacks are built after the sort, for the kept groups only: a
+    # skipped logit group's precision may be singular, and sorting a stack
+    # built earlier would copy it.
+    if gaussian:
+        d2 = np.where(pad[sel], 1.0, d[sel] * d[sel])
+        precision, precision_inv = _diagonal(d2), _diagonal(1.0 / d2)
+    else:
+        precision = precision[sel]
+        precision_inv = sym(np.linalg.inv(precision))
     return dict(ids=tuple(map(keys.__getitem__, order)), n=n[sel], r=r[sel],
                 dispersion=dispersion[sel], V=svd.V[kept[sel]],
-                theta=theta[sel], precision=precision[sel]), skipped
+                theta=theta[sel], precision=precision,
+                precision_inv=precision_inv), skipped
+
+
+def _diagonal(values):
+    """The stack of diagonal matrices with the rows of ``values`` (M, k) on
+    their diagonals."""
+    return values[:, :, None] * np.eye(values.shape[1])
 
 
 def summarize_group(

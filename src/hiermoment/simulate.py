@@ -303,11 +303,15 @@ def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
 
     Stacks all observations, reduces the combined [X Z] design by compact SVD
     (the fixed and random designs may share columns), and fits one
-    Firth-penalized coefficient vector (least squares for gaussian).
+    Firth-penalized coefficient vector. The gaussian least-squares fit is
+    closed form in the SVD frame, ``U'y / d``.
     """
     svd = compact_svd(np.hstack([dataset.X, dataset.Z]))
-    fit = fit_glm(dataset.y, svd.U * svd.d, family)
-    return GlobalFit(coef=svd.V @ fit.coef)
+    if family.name == "gaussian":
+        theta = (svd.U.T @ dataset.y) / svd.d
+    else:
+        theta = fit_glm(dataset.y, svd.U * svd.d, family).coef
+    return GlobalFit(coef=svd.V @ theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,8 +40,9 @@ from hiermoment.combine import (
 from hiermoment.data import GroupedDataset
 from hiermoment.ebayes import posterior_set
 from hiermoment.errors import SingularOmega2Error, SingularOmegaError
-from hiermoment.families import GAUSSIAN
+from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN, expit
 from hiermoment.groups import build_summary_set
+from hiermoment.linalg import sym, sym_sqrt
 
 
 def one_way_dataset(group_values):
@@ -420,6 +421,37 @@ class TestStandardize:
                                    X / 3.0, rtol=1e-15)
 
 
+    def test_extreme_scales_match_reference(self):
+        def reference(F):
+            # The per-column reduction over the (N, k) layout.
+            lo, hi = F.min(axis=0), F.max(axis=0)
+            amax = np.maximum(np.abs(lo), np.abs(hi))
+            unit = np.where(amax > 0.0, amax, 1.0)
+            F = F / unit
+            rms = unit * np.sqrt(np.einsum("ij,ij->j", F, F) / F.shape[0])
+            constant = lo == hi
+            return np.where(constant, 1.0, rms), constant & (lo == 0.0)
+
+        rng = np.random.default_rng(71)
+        n = 257
+        X = np.column_stack([1e170 * rng.normal(size=n),
+                             1e-170 * rng.normal(size=n), np.full(n, 7.0)])
+        Z = np.column_stack([np.zeros(n), -1e-170 * rng.random(size=n),
+                             1e170 * rng.choice([-1.0, 1.0], size=n)])
+        ds = GroupedDataset.from_long(rng.normal(size=n), X, Z,
+                                      rng.integers(0, 9, size=n))
+        scaled, record = standardize(ds)
+        x_scale, x_zero = reference(ds.X)
+        z_scale, z_zero = reference(ds.Z)
+        assert np.array_equal(record.x_scale, x_scale)
+        assert np.array_equal(record.z_scale, z_scale)
+        assert np.array_equal(record.x_zero, x_zero)
+        assert np.array_equal(record.z_zero, z_zero)
+        assert record.z_zero.tolist() == [True, False, False]
+        assert np.array_equal(scaled.X, ds.X / x_scale)
+        assert np.array_equal(scaled.Z, ds.Z / z_scale)
+
+
 class TestFitMoment:
     def test_one_way_anova_oracle(self):
         """Unweighted one-way fit matches the closed-form moment estimates."""
@@ -642,3 +674,94 @@ class TestKappa:
                 vals = kappa_check(W, sigma, phi, sset)
                 bound = kappa_bound(spec, sigma, phi, sset)
                 assert np.all(vals <= bound + 1e-8), spec.scheme
+
+
+def _mixed_rank_dataset(rng, family, M=40, p=2, q=2):
+    """Groups of 1 to 12 rows, so that ranks 1..p+q all occur."""
+    ys, Xs, Zs, ids = [], [], [], []
+    for i in range(M):
+        n = 1 + i % 12
+        X = rng.normal(size=(n, p))
+        Z = rng.normal(size=(n, q))
+        eta = X @ np.full(p, 0.5) + Z @ (0.7 * rng.normal(size=q))
+        if family.name == "gaussian":
+            ys.append(eta + rng.normal(size=n))
+        else:
+            ys.append((rng.random(n) < expit(eta)).astype(float))
+        Xs.append(X)
+        Zs.append(Z)
+        ids.extend([i] * n)
+    return GroupedDataset.from_long(np.concatenate(ys), np.vstack(Xs),
+                                    np.vstack(Zs), ids)
+
+
+def _kappa_check_loop(weights, sigma, phi, sset):
+    mids = sset.V2.swapaxes(1, 2) @ sigma @ sset.V2 + phi * sset.precision_inv
+    vals = np.empty(len(sset.ids))
+    for i, r in enumerate(sset.r.tolist()):
+        Wh = sym_sqrt(weights[i, :r, :r])
+        vals[i] = np.linalg.eigvalsh(sym(Wh @ mids[i, :r, :r] @ Wh))[-1]
+    return vals
+
+
+def _kappa_bound_loop(spec, sigma, phi, sset):
+    sig_norm = np.linalg.norm(sigma, 2)
+    ranks = sset.r.tolist()
+    if spec.scheme == "unweighted":
+        return sig_norm + phi * max(np.linalg.norm(P[:r, :r], 2)
+                                    for P, r in zip(sset.precision_inv, ranks))
+    if spec.scheme == "weighted":
+        return sig_norm * max(np.linalg.norm(P[:r, :r], 2)
+                              for P, r in zip(sset.precision, ranks)) + phi
+    return np.linalg.norm(np.linalg.solve(spec.sigma0, sigma), 2) + phi
+
+
+class TestKappaStacked:
+    """The stacked kappa values against the per-group loop, and the bound
+    on both families."""
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_matches_loop_and_stays_below_bound(self, family):
+        rng = np.random.default_rng(73)
+        fit = fit_moment(_mixed_rank_dataset(rng, family), family)
+        sset, phi = fit.summary_set, fit.phi
+        assert sorted(set(sset.r.tolist())) == [1, 2, 3, 4]
+        A = rng.normal(size=(2, 2))
+        sigmas = [fit.sigma_scaled, A @ A.T + 0.1 * np.eye(2)]
+        for sigma in sigmas:
+            specs = [WeightSpec.unweighted(), WeightSpec.weighted(),
+                     WeightSpec.semi_weighted(np.eye(2) + 0.5 * sigma)]
+            for spec in specs:
+                W = make_weights(sset, spec)
+                vals = kappa_check(W, sigma, phi, sset)
+                bound = kappa_bound(spec, sigma, phi, sset)
+                ref = _kappa_check_loop(W, sigma, phi, sset)
+                np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+                assert bound == pytest.approx(
+                    _kappa_bound_loop(spec, sigma, phi, sset), rel=1e-12)
+                assert vals.max() <= bound * (1.0 + 1e-12), spec.scheme
+
+    def test_bound_reads_leading_blocks_only(self):
+        """Where every group's block has norm below 1, the identity padding
+        must not enter the bound."""
+        ds = _mixed_rank_dataset(np.random.default_rng(83), GAUSSIAN)
+        sset = build_summary_set(ds.with_columns(100.0 * ds.X, 100.0 * ds.Z),
+                                 GAUSSIAN)
+        spec, sigma = WeightSpec.unweighted(), np.eye(2)
+        ref = _kappa_bound_loop(spec, sigma, 1.0, sset)
+        assert ref < 2.0  # ||sigma|| + every block's norm, which is below 1
+        assert kappa_bound(spec, sigma, 1.0, sset) == pytest.approx(
+            ref, rel=1e-12)
+
+    def test_logit_bound_is_attained_at_zero_sigma(self):
+        """With Sigma = 0 and the known phi = 1, each scheme's bound is
+        reached by some group of a logit summary set."""
+        fit = fit_moment(_mixed_rank_dataset(np.random.default_rng(79),
+                                             BINOMIAL_LOGIT), BINOMIAL_LOGIT)
+        sset, zero = fit.summary_set, np.zeros((2, 2))
+        for spec in [WeightSpec.unweighted(), WeightSpec.weighted(),
+                     WeightSpec.semi_weighted(np.eye(2))]:
+            vals = kappa_check(make_weights(sset, spec), zero, 1.0, sset)
+            bound = kappa_bound(spec, zero, 1.0, sset)
+            assert vals.max() == pytest.approx(bound, rel=1e-12), spec.scheme

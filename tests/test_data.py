@@ -79,6 +79,23 @@ class TestChecks:
             GroupedDataset.from_long(y, X, np.ones((6, 1)),
                                      ["a", "a", "b", "d", "c", "d"])
 
+    @pytest.mark.parametrize("column", ["y", "X", "Z"])
+    def test_nonfinite_in_any_column_names_its_group(self, column):
+        """The group named is the first one, in block order, with a
+        non-finite value, whichever column holds it."""
+        rng = np.random.default_rng(5)
+        blocks = [GroupData(gid, rng.normal(size=3), rng.normal(size=(3, 2)),
+                            rng.normal(size=(3, 3))) for gid in "qpr"]
+        getattr(blocks[1], column).reshape(3, -1)[2, -1] = np.nan
+        getattr(blocks[2], column).reshape(3, -1)[0, 0] = -np.inf
+        with pytest.raises(ValueError, match="group 'p': non-finite"):
+            GroupedDataset(blocks, 2, 3)
+        ds = GroupedDataset(blocks[:1], 2, 3)
+        X = ds.X.copy()
+        X[1, 0] = np.inf
+        with pytest.raises(ValueError, match="group 'q': non-finite"):
+            ds.with_columns(X, ds.Z)
+
     def test_block_rows_must_match(self):
         g = GroupData("g", np.ones(3), np.ones((2, 1)), np.ones((3, 1)))
         with pytest.raises(ValueError, match="group 'g'"):

@@ -20,6 +20,7 @@ from hiermoment.ebayes import posterior_set
 from hiermoment.errors import DispersionError
 from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN
 from hiermoment.groups import (
+    SummarySet,
     build_summary_set,
     pool_dispersion,
     summarize_group,
@@ -278,3 +279,110 @@ class TestBuildSummarySet:
         sset = build_summary_set(GroupedDataset.from_long(y, X, Z, ids),
                                  BINOMIAL_LOGIT)
         assert sset.pooled_dispersion == 1.0
+
+
+def _odd_groups(rng, family=GAUSSIAN):
+    """Groups with p = q = 2 that exercise every rank case: a singleton,
+    n < k, aliased columns, constant columns, an all-zero design (id 4) and
+    ordinary full-rank groups."""
+    blocks = {}
+    X, Z = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+    blocks[0] = (X, Z)                                  # singleton, r = 1
+    blocks[1] = (rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))  # n < k
+    X = rng.normal(size=(8, 2))
+    blocks[2] = (X, X[:, ::-1].copy())                  # Z aliases X, r = 2
+    X = np.column_stack([np.ones(9), rng.normal(size=9)])
+    blocks[3] = (X, np.column_stack([np.ones(9), np.full(9, 3.0)]))  # r = 2
+    blocks[4] = (np.zeros((5, 2)), np.zeros((5, 2)))    # rank 0
+    for gid in range(5, 10):
+        n = int(rng.integers(5, 12))
+        blocks[gid] = (rng.normal(size=(n, 2)), rng.normal(size=(n, 2)))
+    order = rng.permutation(10).tolist()
+    X = np.vstack([blocks[g][0] for g in order])
+    Z = np.vstack([blocks[g][1] for g in order])
+    ids = np.repeat(order, [len(blocks[g][0]) for g in order])
+    if family.name == "gaussian":
+        y = 3.0 * rng.normal(size=ids.size) + 1.0
+    else:
+        y = (rng.random(ids.size) < 0.4).astype(float)
+    return GroupedDataset.from_long(y, X, Z, ids)
+
+
+class TestGaussianClosedForm:
+    """Gaussian summaries are the closed-form least-squares fit in each
+    group's SVD frame; the reference is ``np.linalg.lstsq`` on the group's
+    rank-r reduction ``F V[:, :r]``."""
+
+    def test_matches_lstsq_on_rank_reduction(self):
+        rng = np.random.default_rng(53)
+        ds = _odd_groups(rng)
+        sset = build_summary_set(ds, GAUSSIAN)
+        assert sset.skipped == ((4, "group design is all zero (rank 0)"),)
+        assert sset.ids == (0, 1, 2, 3, 5, 6, 7, 8, 9)
+        assert sset.r[:4].tolist() == [1, 3, 2, 2]
+        blocks = {g.group_id: g for g in ds.groups}
+        V = np.concatenate([sset.V1, sset.V2], axis=1)
+        for i, gid in enumerate(sset.ids):
+            g, r = blocks[gid], int(sset.r[i])
+            F = np.hstack([g.X, g.Z])
+            F0 = F @ V[i, :, :r]
+            theta, *_ = np.linalg.lstsq(F0, g.y, rcond=None)
+            fitted = F0 @ theta
+            np.testing.assert_allclose(
+                np.diagonal(sset.precision[i])[:r],
+                np.linalg.svd(F, compute_uv=False)[:r] ** 2, rtol=1e-12)
+            np.testing.assert_allclose(
+                sset.theta[i, :r], theta, rtol=0,
+                atol=1e-12 * np.abs(theta).max())
+            assert np.all(sset.theta[i, r:] == 0.0)
+            np.testing.assert_allclose(
+                F @ (V[i] @ sset.theta[i]), fitted, rtol=0,
+                atol=1e-12 * np.abs(fitted).max())
+            if g.n > r:
+                rss = np.sum((g.y - fitted) ** 2)
+                assert sset.dispersion[i] == pytest.approx(rss / (g.n - r),
+                                                           rel=1e-12)
+            else:
+                assert np.isnan(sset.dispersion[i])
+
+    def test_no_inverse_or_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the gaussian summary path")
+
+        rng = np.random.default_rng(59)
+        ds, logit = _odd_groups(rng), _odd_groups(rng, BINOMIAL_LOGIT)
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        assert len(build_summary_set(ds, GAUSSIAN).ids) == 9
+        with pytest.raises(AssertionError):  # the patch is in effect
+            build_summary_set(logit, BINOMIAL_LOGIT)
+
+    def test_precision_inv_is_reciprocal_diagonal(self):
+        sset = build_summary_set(_odd_groups(np.random.default_rng(61)),
+                                 GAUSSIAN)
+        k = sset.p + sset.q
+        diag = np.diagonal(sset.precision, 0, 1, 2)
+        pad = np.arange(k) >= sset.r[:, None]
+        assert np.all(diag[pad] == 1.0)
+        assert np.array_equal(sset.precision,
+                              diag[:, :, None] * np.eye(k))
+        expected = np.zeros_like(sset.precision)
+        expected[:, np.arange(k), np.arange(k)] = np.where(pad, 1.0,
+                                                           1.0 / diag)
+        assert np.array_equal(sset.precision_inv, expected)
+        restacked = SummarySet(sset.summaries, sset.p, sset.q,
+                               sset.pooled_dispersion, sset.rho, sset.n_obs,
+                               sset.skipped)
+        np.testing.assert_allclose(restacked.precision_inv,
+                                   sset.precision_inv, rtol=1e-14, atol=0)
+
+    def test_logit_precision_inv_is_inverse(self):
+        sset = build_summary_set(
+            _odd_groups(np.random.default_rng(67), BINOMIAL_LOGIT),
+            BINOMIAL_LOGIT)
+        assert sset.r.tolist() == [1, 3, 2, 2, 4, 4, 4, 4, 4]
+        ref = np.linalg.inv(sset.precision)
+        assert np.abs(sset.precision_inv - ref).max() \
+            <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(sset.precision_inv,
+                              np.swapaxes(sset.precision_inv, 1, 2))
