@@ -25,7 +25,6 @@ from .ebayes import (
     posterior,
     posterior_set,
     predict_grouped,
-    predict_mean,
 )
 from .errors import (
     ConvergenceError,
@@ -37,7 +36,7 @@ from .errors import (
     ZeroRankError,
 )
 from .families import BINOMIAL_LOGIT, GAUSSIAN, Family, GlmFit, fit_glm, get_family
-from .groups import GroupSummary, SummarySet, build_summary_set, summarize_group
+from .groups import GroupSummary, SummarySet, build_summary_set
 from .simulate import (
     LossRecord,
     SimTruth,
@@ -46,7 +45,6 @@ from .simulate import (
     fit_local,
     gen_replicate,
     losses,
-    misclass_by_group_size,
     run_study,
 )
 
@@ -86,13 +84,10 @@ __all__ = [
     "kappa_bound",
     "kappa_check",
     "losses",
-    "misclass_by_group_size",
     "posterior",
     "posterior_set",
     "predict_grouped",
-    "predict_mean",
     "run_study",
     "standardize",
-    "summarize_group",
     "__version__",
 ]

@@ -202,14 +202,11 @@ class ScaleRecord:
     """Per-column scaling applied to the predictors before fitting.
 
     Non-constant columns are divided by their pooled root-mean-square;
-    constant columns (intercepts) keep scale 1. ``x_zero``/``z_zero`` flag
-    all-zero columns, which are left unscaled.
+    constant columns (intercepts and all-zero columns) keep scale 1.
     """
 
     x_scale: np.ndarray
     z_scale: np.ndarray
-    x_zero: np.ndarray
-    z_zero: np.ndarray
 
 
 def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
@@ -232,15 +229,11 @@ def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
         unit = np.where(amax > 0.0, amax, 1.0)
         F = F / unit
         rms = unit * np.sqrt(np.einsum("ij,ij->j", F, F) / F.shape[0])
-        constant = lo == hi
-        scale = np.where(constant, 1.0, rms)
-        zero = constant & (lo == 0.0)
-        return scale, zero
+        return np.where(lo == hi, 1.0, rms)
 
-    x_scale, x_zero = _column_scales(dataset.X)
-    z_scale, z_zero = _column_scales(dataset.Z)
-    record = ScaleRecord(x_scale=x_scale, z_scale=z_scale,
-                         x_zero=x_zero, z_zero=z_zero)
+    x_scale = _column_scales(dataset.X)
+    z_scale = _column_scales(dataset.Z)
+    record = ScaleRecord(x_scale=x_scale, z_scale=z_scale)
     if np.all(x_scale == 1.0) and np.all(z_scale == 1.0):
         return dataset, record
     return dataset.with_columns(dataset.X / x_scale,

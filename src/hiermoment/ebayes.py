@@ -25,7 +25,6 @@ __all__ = [
     "PosteriorSet",
     "posterior",
     "posterior_set",
-    "predict_mean",
     "predict_grouped",
 ]
 
@@ -130,20 +129,6 @@ def posterior_set(fit: MomentFit) -> PosteriorSet:
     )
     zs = fit.scale_record.z_scale
     return PosteriorSet(sset.ids, means / zs, covs / np.outer(zs, zs))
-
-
-def predict_mean(
-    X_new: np.ndarray,
-    Z_new: np.ndarray,
-    beta: np.ndarray,
-    u: np.ndarray,
-    family: Family,
-) -> np.ndarray:
-    """Predicted response means ``g^{-1}(X beta + Z u)`` for one group."""
-    X_new = np.asarray(X_new, dtype=float)
-    Z_new = np.asarray(Z_new, dtype=float)
-    eta = X_new @ np.asarray(beta, dtype=float) + Z_new @ np.asarray(u, dtype=float)
-    return family.inv_link(eta)
 
 
 def predict_grouped(

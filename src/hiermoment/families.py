@@ -1,5 +1,6 @@
-"""Response families (gaussian-identity, binomial-logit), the GLM fit of many
-groups at once, Pearson dispersion, and the plug-in unscaled precision.
+"""Response families (gaussian-identity, binomial-logit), the logit GLM fit
+of many groups at once, Pearson dispersion, and the plug-in unscaled
+precision.
 
 Stacked layout: the rows of M groups lie in one long array in contiguous
 blocks, group i owning rows ``starts[i]:starts[i + 1]``, and every group's
@@ -8,13 +9,16 @@ design is zero-padded to the same k columns, of which its leading
 row blocks, taken in blocks of bounded size, and per-group solves are
 batched calls on ``(M, k, k)`` stacks whose padded block is the identity, so
 padded coefficients stay exactly 0. Each group's result depends on its own
-rows only. A call without ``starts`` is the one-group case, M = 1.
+rows only. A :func:`fit_glm` call without ``starts`` is the one-group case,
+M = 1.
 
 Logit groups maximize the Jeffreys-penalized (Firth) likelihood by
 ``_FISHER_PASSES`` quasi-Fisher passes from 0, then exact Newton steps (a
 Fisher step where a Cholesky factorization finds the Hessian not negative
 definite), with step-halving on the penalized objective, until the penalized
-score norm is at most ``tol``. Gaussian groups are exact after one step.
+score norm is at most ``_TOL``, for at most ``_MAX_PASSES`` passes.
+Gaussian fits are closed form in the SVD frame of the design (see
+:mod:`hiermoment.groups`), so :func:`fit_glm` takes no gaussian family.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegeneratePrecisionError
+from .errors import ConvergenceError
 from .linalg import sym
 
 __all__ = [
@@ -42,6 +46,8 @@ __all__ = [
 ]
 
 _MU_EPS = 1e-10
+_TOL = 1e-8  # convergence threshold on each group's penalized score norm
+_MAX_PASSES = 100  # groups not converged by then have converged False
 _BLOCK_ENTRIES = 1 << 16  # entries of row-wise products held at one time
 _MAX_HALVINGS = 12
 _HALVING_SLACK = 1e-10  # relative round-off allowance of the halving test
@@ -237,16 +243,15 @@ def fit_glm(
     family: Family,
     starts: np.ndarray | None = None,
     ranks: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
 ) -> GlmFit:
-    """Fit one GLM coefficient vector per group on full-column-rank designs.
+    """Fit one binomial-logit coefficient vector per group on
+    full-column-rank designs.
 
-    Gaussian groups get the least-squares solution, from the normal
-    equations (exact to rounding when the columns are orthogonal, as for
-    ``F0 = U * d``). Binomial-logit groups maximize the Jeffreys-penalized
-    likelihood, which exists even under perfect separation, by Fisher then
-    exact Newton steps on all groups at once (see the module docstring).
+    Each group maximizes the Jeffreys-penalized likelihood, which exists
+    even under perfect separation, by Fisher then exact Newton steps on all
+    groups at once (see the module docstring). A gaussian family raises
+    ValueError: its least-squares fit is closed form in the design's SVD
+    frame.
 
     Parameters
     ----------
@@ -256,6 +261,7 @@ def fit_glm(
         Designs of full column rank (pre-reduce rank-deficient designs),
         stacked by rows as described in the module docstring.
     family : Family
+        Binomial-logit.
     starts : ndarray of shape (M,), optional
         First row of each group. None fits all rows as one group, checks
         that ``F0`` has full column rank, unwraps the result to that group,
@@ -264,16 +270,14 @@ def fit_glm(
     ranks : ndarray of shape (M,), optional
         Columns of each group's design; the remaining columns are zero
         padding. Defaults to k.
-    tol : float
-        Convergence threshold on each group's penalized score norm.
-    max_iter : int
-        Cap on passes; groups that have not converged by then are returned
-        with ``converged`` False.
 
     Returns
     -------
     GlmFit
     """
+    if family.name == "gaussian":
+        raise ValueError("gaussian fits are closed form in the SVD frame of "
+                         "the design; fit_glm fits binomial-logit groups only")
     y = np.asarray(y, dtype=float)
     F0 = np.asarray(F0, dtype=float)
     n, k = F0.shape
@@ -283,15 +287,11 @@ def fit_glm(
         raise ValueError("design has no columns")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(F0))):
         raise ValueError("non-finite values in response or design")
-    if family.name != "gaussian" and np.any((y != 0.0) & (y != 1.0)):
+    if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("binomial-logit response must be 0/1")
     if starts is None and np.linalg.matrix_rank(F0) < k:
         raise ValueError("design is rank deficient; reduce it first")
-    stack = _Stack.make(n, k, starts, ranks)
-    if family.name == "gaussian":
-        fit = _least_squares(y, F0, stack)
-    else:
-        fit = _firth(y, F0, stack, tol, max_iter)
+    fit = _firth(y, F0, _Stack.make(n, k, starts, ranks))
     if starts is not None:
         return fit
     one = GlmFit(coef=fit.coef[0], fitted_mean=fit.fitted_mean,
@@ -299,7 +299,8 @@ def fit_glm(
                  deviance=float(fit.deviance[0]))
     if not one.converged:
         raise ConvergenceError(
-            f"fit did not reach score norm {tol:g} in {max_iter} iterations",
+            f"fit did not reach score norm {_TOL:g} in {_MAX_PASSES} "
+            "iterations",
             fit=one,
         )
     return one
@@ -317,17 +318,6 @@ def _information(F, w, stack):
         return out.T
 
     return stack.padded(_unpack(stack.sums(_n_sym(k, 2), terms), k, 2))
-
-
-def _least_squares(y, F, stack):
-    M, k = stack.pad.shape
-    gram = _information(F, np.ones_like(y), stack)
-    rhs = stack.sums(k, lambda lo, hi: F[lo:hi] * y[lo:hi, None])
-    coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    mu = stack.linear_predictor(F, coef)
-    return GlmFit(coef=coef, fitted_mean=mu, converged=np.ones(M, dtype=bool),
-                  iterations=1,
-                  deviance=np.add.reduceat((y - mu) ** 2, stack.starts))
 
 
 def _penalized(y, F, stack, coef):
@@ -404,7 +394,7 @@ def _newton_step(y, F, stack, mu, w, info, exact):
     return score, np.linalg.solve(neg, score[:, :, None])[:, :, 0]
 
 
-def _firth(y, F, stack, tol, max_iter):
+def _firth(y, F, stack):
     M, k = stack.pad.shape
     Ft = np.ascontiguousarray(F.T)  # the row kernels read rows along axis 1
     coef = np.zeros((M, k))
@@ -412,14 +402,14 @@ def _firth(y, F, stack, tol, max_iter):
     converged = np.zeros(M, dtype=bool)
     active = np.arange(M)
     passes = 0
-    for passes in range(1, max_iter + 1):
+    for passes in range(1, _MAX_PASSES + 1):
         sub, rows = stack.take(active)
         score, step = _newton_step(y[rows], Ft.take(rows, 1).T, sub, mu[rows],
                                    w[rows], info[active], passes > _FISHER_PASSES)
-        done = np.linalg.norm(score, axis=1) <= tol
+        done = np.linalg.norm(score, axis=1) <= _TOL
         converged[active[done]] = True
         active, step = active[~done], step[~done]
-        if active.size == 0 or passes == max_iter:
+        if active.size == 0 or passes == _MAX_PASSES:
             break
         # Step-halving on the penalized objective, per group; the last
         # halving is taken whatever its value, if that value is finite.
@@ -445,45 +435,32 @@ def _firth(y, F, stack, tol, max_iter):
                   iterations=passes, deviance=-2.0 * ll)
 
 
-def pearson_dispersion(y, mu, family: Family, r, starts=None):
-    """Pearson dispersion ``sum (y-mu)^2/V(mu) / (n - r)``.
-
-    None when ``n <= r`` (no residual degrees of freedom; such a group
-    contributes zero weight to dispersion pooling). With ``starts`` (and
-    ``r`` per group) the rows are stacked groups as for :func:`fit_glm`,
-    and the result is an array with one value per group, NaN where
-    ``n <= r``.
+def pearson_dispersion(y, mu, family: Family, r, starts):
+    """Pearson dispersion ``sum (y-mu)^2/V(mu) / (n - r)`` of each group, the
+    rows stacked as for :func:`fit_glm` with ``r`` per group: NaN where
+    ``n <= r`` (no residual degrees of freedom; such a group contributes
+    zero weight to dispersion pooling).
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     stack = _Stack.make(y.shape[0], 1, starts, None)
     pearson = np.add.reduceat((y - mu) ** 2 / family.variance(mu), stack.starts)
     df = stack.sizes - np.asarray(r)
-    out = np.divide(pearson, df, out=np.full(df.shape, np.nan), where=df > 0)
-    if starts is not None:
-        return out
-    return float(out[0]) if df[0] > 0 else None
+    return np.divide(pearson, df, out=np.full(df.shape, np.nan), where=df > 0)
 
 
-def unscaled_precision(F0, mu, family: Family, starts=None, ranks=None):
-    """Plug-in unscaled precision ``F0.T @ diag(lam(mu)) @ F0``.
+def unscaled_precision(F0, mu, family: Family, starts, ranks=None):
+    """Plug-in unscaled precision ``F0.T @ diag(lam(mu)) @ F0`` of each group,
+    the rows stacked as for :func:`fit_glm`.
 
-    For the gaussian family (lam = 1) this is exactly ``F0.T @ F0``. With
-    ``starts`` the rows are stacked groups as for :func:`fit_glm`, and the
+    For the gaussian family (lam = 1) this is exactly ``F0.T @ F0``. The
     result is the (M, k, k) stack with the identity in each padded block,
-    unchecked (see :func:`singular_precision`). For one group a numerically
-    singular precision raises DegeneratePrecisionError.
+    unchecked (see :func:`singular_precision`).
     """
     F0 = np.asarray(F0, dtype=float)
     n, k = F0.shape
-    P = _information(F0, family.variance(mu),
-                     _Stack.make(n, k, starts, ranks))
-    if starts is not None:
-        return P
-    problem = singular_precision(P, [k])
-    if problem:
-        raise DegeneratePrecisionError(problem[0])
-    return P[0]
+    return _information(F0, family.variance(mu),
+                        _Stack.make(n, k, starts, ranks))
 
 
 def singular_precision(P, ranks) -> dict:

@@ -22,7 +22,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .data import GroupData, GroupedDataset
+from .data import GroupedDataset
 from .errors import (
     ConvergenceError,
     DegeneratePrecisionError,
@@ -42,7 +42,6 @@ from .linalg import compact_svd, sym
 __all__ = [
     "GroupSummary",
     "SummarySet",
-    "summarize_group",
     "summarize_groups",
     "pool_dispersion",
     "build_summary_set",
@@ -250,36 +249,6 @@ def _diagonal(values):
     """The stack of diagonal matrices with the rows of ``values`` (M, k) on
     their diagonals."""
     return values[:, :, None] * np.eye(values.shape[1])
-
-
-def summarize_group(
-    y: np.ndarray,
-    X: np.ndarray,
-    Z: np.ndarray,
-    family: Family,
-    rank_tol: float | None = None,
-    group_id: Hashable = None,
-) -> GroupSummary:
-    """Reduce one group's raw data to a GroupSummary: the one-group call of
-    :func:`summarize_groups`.
-
-    Raises
-    ------
-    ZeroRankError
-        All-zero design (rank 0).
-    ConvergenceError
-        The group GLM fit did not converge.
-    DegeneratePrecisionError
-        The plug-in precision is numerically singular.
-    """
-    dataset = GroupedDataset([GroupData(group_id, y, X, Z)], np.shape(X)[1],
-                             np.shape(Z)[1])
-    columns, skipped = summarize_groups(dataset, family, rank_tol)
-    if skipped:
-        raise skipped[0][1]
-    return SummarySet._from_columns(
-        **columns, p=dataset.p, q=dataset.q, pooled_dispersion=float("nan"),
-        skipped=()).summaries[0]
 
 
 def pool_dispersion(n, r, dispersion, family: Family) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "LocalFit",
     "fit_local",
     "run_study",
-    "misclass_by_group_size",
     "study_table",
 ]
 
@@ -70,9 +69,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-# Up to this many groups the keys are hashed one group at a time: below it
-# numpy's fixed cost per array operation outweighs the loop.
-_LOOP_KEYS = 6
 
 
 @lru_cache(maxsize=32)
@@ -128,11 +124,9 @@ def _uint32_words(n: int) -> list:
 
 def _group_keys(base: tuple, M: int) -> list:
     """The Philox key of group i's stream, ``SeedSequence((*base, 1,
-    i)).generate_state(2, np.uint64)``, for each i < M, as two ints."""
+    i)).generate_state(2, np.uint64)``, for each i < M, as two ints: the
+    entropy of all M groups is hashed in one pass of array operations."""
     head = [w for v in base for w in _uint32_words(v)] + [1]
-    if M <= _LOOP_KEYS:
-        return [[w0 | w1 << 32, w2 | w3 << 32] for w0, w1, w2, w3
-                in (_seed_state(head + [i]) for i in range(M))]
     w0, w1, w2, w3 = (w.astype(np.uint64) for w in
                       _seed_state(head + [np.arange(M, dtype=np.uint32)]))
     return np.stack([w0 | w1 << 32, w2 | w3 << 32], axis=1).tolist()
@@ -480,47 +474,3 @@ def study_table(rows: list[StudyRow]) -> str:
         lines.append("\t".join(repr(getattr(r, c)) if isinstance(getattr(r, c), float)
                                else str(getattr(r, c)) for c in cols))
     return "\n".join(lines) + "\n"
-
-
-def misclass_by_group_size(mu_hat, y, sizes, bin_edges):
-    """Misclassification rates aggregated by group size.
-
-    Thresholds predictions at 1/2 (ties predict 1), then pools the 0/1
-    losses of all observations whose group size falls in each bin.
-
-    Parameters
-    ----------
-    mu_hat, y : array-like of shape (n,)
-        Predicted means and binary responses, per observation.
-    sizes : array-like of shape (n,)
-        Size of the observation's group.
-    bin_edges : increasing sequence of length B+1
-        Bin k covers sizes in [edge_k, edge_{k+1}).
-
-    Returns
-    -------
-    list of dict with keys lo, hi, count, rate, se (binomial standard error);
-    empty bins report NaN rate.
-    """
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    sizes = np.asarray(sizes)
-    edges = np.asarray(bin_edges, dtype=float)
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges must be strictly increasing")
-    pred = (mu_hat >= 0.5).astype(float)
-    err = (pred != y).astype(float)
-    idx = np.digitize(sizes, edges) - 1
-    out = []
-    for k in range(edges.shape[0] - 1):
-        mask = idx == k
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            out.append({"lo": float(edges[k]), "hi": float(edges[k + 1]),
-                        "count": 0, "rate": float("nan"), "se": float("nan")})
-            continue
-        rate = float(err[mask].mean())
-        se = float(np.sqrt(rate * (1.0 - rate) / count))
-        out.append({"lo": float(edges[k]), "hi": float(edges[k + 1]),
-                    "count": count, "rate": rate, "se": se})
-    return out

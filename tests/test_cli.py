@@ -23,7 +23,7 @@ from hiermoment import cli
 from hiermoment.cli import main
 from hiermoment.combine import FitOptions, fit_moment
 from hiermoment.data import GroupedDataset
-from hiermoment.ebayes import posterior_set, predict_mean
+from hiermoment.ebayes import posterior_set
 from hiermoment.families import GAUSSIAN
 
 
@@ -197,8 +197,8 @@ class TestPredictCommand:
         mu_ref = np.empty(len(ids))
         for g, i, idx in zip(ds.groups, post.rows(ds.ids),
                              np.split(order, bounds)):
-            mu_ref[idx] = predict_mean(g.X, g.Z, fit.beta, post.means[i],
-                                       GAUSSIAN)
+            mu_ref[idx] = GAUSSIAN.inv_link(g.X @ fit.beta
+                                            + g.Z @ post.means[i])
 
         with open(preds, newline="") as fh:
             out_rows = list(csv.reader(fh))

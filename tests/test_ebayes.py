@@ -18,8 +18,8 @@ import pytest
 
 from hiermoment.combine import fit_moment
 from hiermoment.data import GroupedDataset
-from hiermoment.ebayes import posterior, posterior_set, predict_grouped, predict_mean
-from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN
+from hiermoment.ebayes import posterior, posterior_set, predict_grouped
+from hiermoment.families import GAUSSIAN
 from hiermoment.groups import GroupSummary, build_summary_set
 
 SQRT2 = math.sqrt(2.0)
@@ -217,24 +217,6 @@ class TestPosteriorSet:
 
 
 class TestPrediction:
-    def test_gaussian_population(self):
-        X = np.array([[1.0, 2.0], [0.0, 1.0]])
-        Z = np.zeros((2, 1))
-        beta = np.array([0.5, 1.0])
-        mu = predict_mean(X, Z, beta, np.zeros(1), GAUSSIAN)
-        np.testing.assert_allclose(mu, X @ beta, rtol=1e-15)
-
-    def test_logit_midpoint(self):
-        mu = predict_mean(np.zeros((3, 1)), np.zeros((3, 1)),
-                          np.zeros(1), np.zeros(1), BINOMIAL_LOGIT)
-        np.testing.assert_allclose(mu, 0.5, rtol=1e-15)
-
-    def test_logit_known_value(self):
-        mu = predict_mean(np.ones((1, 1)), np.zeros((1, 1)),
-                          np.array([math.log(9.0)]), np.zeros(1),
-                          BINOMIAL_LOGIT)
-        np.testing.assert_allclose(mu, [0.9], rtol=1e-12)
-
     def test_unseen_group_flagged(self):
         rng = np.random.default_rng(19)
         ys, Xs, Zs, ids = [], [], [], []

@@ -18,7 +18,6 @@ from scipy.special import expit
 
 from hiermoment import families, groups
 from hiermoment.combine import fit_moment
-from hiermoment.errors import DegeneratePrecisionError
 from hiermoment.families import (
     BINOMIAL_LOGIT,
     GAUSSIAN,
@@ -26,6 +25,7 @@ from hiermoment.families import (
     fit_glm,
     get_family,
     pearson_dispersion,
+    singular_precision,
     unscaled_precision,
 )
 from hiermoment.simulate import gen_replicate
@@ -128,26 +128,22 @@ class TestExpit:
 
 
 class TestGaussianFit:
-    def test_exact_interpolation(self):
-        F0 = np.array([[1.0, 0.0], [0.0, 2.0]])
-        fit = fit_glm(np.array([3.0, 4.0]), F0, GAUSSIAN)
-        np.testing.assert_allclose(fit.coef, [3.0, 2.0], rtol=1e-14)
-        assert fit.converged
-        assert fit.deviance == pytest.approx(0.0, abs=1e-24)
-
-    def test_least_squares_hand_case(self):
-        # normal equations for x = 0,1,2 and y = 1,2,4 give (5/6, 3/2)
-        F0 = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        y = np.array([1.0, 2.0, 4.0])
-        fit = fit_glm(y, F0, GAUSSIAN)
-        np.testing.assert_allclose(fit.coef, [5.0 / 6.0, 1.5], rtol=1e-12)
-        np.testing.assert_allclose(fit.deviance,
-                                   np.sum((y - F0 @ fit.coef) ** 2), rtol=1e-12)
+    """fit_glm has no gaussian fit; its checks on the design remain."""
 
     def test_rank_deficient_rejected(self):
         F0 = np.ones((4, 2))
-        with pytest.raises(ValueError):
-            fit_glm(np.arange(4.0), F0, GAUSSIAN)
+        with pytest.raises(ValueError, match="rank deficient"):
+            fit_glm(np.array([0.0, 1.0, 0.0, 1.0]), F0, BINOMIAL_LOGIT)
+
+    def test_gaussian_family_rejected(self):
+        """Gaussian fits are closed form in the SVD frame, so fit_glm takes
+        no gaussian family, stacked or not."""
+        F0 = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        y = np.array([1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="closed form"):
+            fit_glm(y, F0, GAUSSIAN)
+        with pytest.raises(ValueError, match="closed form"):
+            fit_glm(y, F0, GAUSSIAN, starts=np.array([0]))
 
 
 class TestLogisticFit:
@@ -244,7 +240,7 @@ class TestFirthFit:
         rng = np.random.default_rng(11)
         F0 = np.column_stack([np.ones(30), rng.normal(size=30)])
         y = (rng.random(30) < 0.4).astype(float)
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT, tol=1e-8)
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT)
         mu = expit(F0 @ fit.coef)
         W = mu * (1 - mu)
         info = F0.T @ (F0 * W[:, None])
@@ -377,14 +373,20 @@ class TestSmallMatrixPaths:
 
 
 class TestDispersion:
+    """One-group checks of the stacked dispersion, ``starts=[0]``."""
+
     def test_hand_case(self):
         y = np.array([1.0, -1.0, 2.0])
         mu = np.zeros(3)
-        assert pearson_dispersion(y, mu, GAUSSIAN, r=1) == pytest.approx(3.0)
+        assert pearson_dispersion(y, mu, GAUSSIAN, [1], [0])[0] == \
+            pytest.approx(3.0)
 
     def test_no_residual_df_returns_none(self):
-        assert pearson_dispersion(np.ones(2), np.ones(2), GAUSSIAN, r=2) is None
-        assert pearson_dispersion(np.ones(2), np.ones(2), GAUSSIAN, r=3) is None
+        """No residual degrees of freedom gives NaN, the mark of a group
+        without a Pearson estimate."""
+        for r in (2, 3):
+            out = pearson_dispersion(np.ones(2), np.ones(2), GAUSSIAN, [r], [0])
+            assert out.shape == (1,) and np.isnan(out[0])
 
     def test_gaussian_unbiased(self):
         """Mean Pearson dispersion over many groups is sigma^2 (within 3 SE)."""
@@ -395,8 +397,8 @@ class TestDispersion:
         for _ in range(2000):
             F0 = rng.normal(size=(n, r))
             y = F0 @ rng.normal(size=r) + rng.normal(scale=math.sqrt(sigma2), size=n)
-            fit = fit_glm(y, F0, GAUSSIAN)
-            vals.append(pearson_dispersion(y, fit.fitted_mean, GAUSSIAN, r))
+            mu = F0 @ np.linalg.lstsq(F0, y, rcond=None)[0]
+            vals.append(pearson_dispersion(y, mu, GAUSSIAN, [r], [0])[0])
         vals = np.array(vals)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - sigma2) < 3 * se
@@ -405,24 +407,31 @@ class TestDispersion:
         y = np.array([1.0, 0.0])
         mu = np.array([0.5, 0.5])
         # (0.5^2 + 0.5^2) / 0.25 / (2 - 1) = 2
-        assert pearson_dispersion(y, mu, BINOMIAL_LOGIT, r=1) == pytest.approx(2.0)
+        assert pearson_dispersion(y, mu, BINOMIAL_LOGIT, [1], [0])[0] == \
+            pytest.approx(2.0)
 
 
 class TestUnscaledPrecision:
+    """One-group checks of the stacked precision, ``starts=[0]``."""
+
     def test_gaussian_is_gram_matrix(self):
         rng = np.random.default_rng(19)
         F0 = rng.normal(size=(8, 3))
-        P = unscaled_precision(F0, np.zeros(8), GAUSSIAN)
-        np.testing.assert_allclose(P, F0.T @ F0, rtol=1e-12)
+        P = unscaled_precision(F0, np.zeros(8), GAUSSIAN, [0])
+        np.testing.assert_allclose(P, [F0.T @ F0], rtol=1e-12)
 
     def test_binomial_weights(self):
         F0 = np.array([[1.0], [2.0]])
         mu = np.array([0.5, 0.2])
         # 1*0.25*1 + 2*0.16*2
-        P = unscaled_precision(F0, mu, BINOMIAL_LOGIT)
-        np.testing.assert_allclose(P, [[0.25 + 0.64]], rtol=1e-12)
+        P = unscaled_precision(F0, mu, BINOMIAL_LOGIT, [0])
+        np.testing.assert_allclose(P, [[[0.25 + 0.64]]], rtol=1e-12)
 
     def test_degenerate_raises(self):
+        """A singular plug-in precision is reported by singular_precision,
+        with its reason, at its position in the stack."""
         F0 = np.ones((3, 2))
-        with pytest.raises(DegeneratePrecisionError):
-            unscaled_precision(F0, np.full(3, 0.5), BINOMIAL_LOGIT)
+        P = unscaled_precision(F0, np.full(3, 0.5), BINOMIAL_LOGIT, [0])
+        problems = singular_precision(P, [2])
+        assert list(problems) == [0]
+        assert "numerically singular" in problems[0]

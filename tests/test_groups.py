@@ -15,7 +15,7 @@ import pytest
 from scipy.special import expit
 
 from hiermoment.combine import fit_moment
-from hiermoment.data import GroupedDataset
+from hiermoment.data import GroupData, GroupedDataset
 from hiermoment.ebayes import posterior_set
 from hiermoment.errors import DispersionError
 from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN
@@ -23,11 +23,23 @@ from hiermoment.groups import (
     SummarySet,
     build_summary_set,
     pool_dispersion,
-    summarize_group,
+    summarize_groups,
 )
 from hiermoment.simulate import gen_replicate
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _one_summary(y, X, Z, family):
+    """The summary of one group, through the stacked
+    :func:`summarize_groups` on a one-group dataset."""
+    dataset = GroupedDataset([GroupData(None, y, X, Z)], X.shape[1],
+                             Z.shape[1])
+    columns, skipped = summarize_groups(dataset, family)
+    assert skipped == []
+    return SummarySet._from_columns(
+        **columns, p=dataset.p, q=dataset.q, pooled_dispersion=float("nan"),
+        skipped=()).summaries[0]
 
 
 class TestSummarizeGroup:
@@ -35,7 +47,7 @@ class TestSummarizeGroup:
         n = 4
         y = np.array([1.0, 3.0, 2.0, 2.0])  # ybar = 2
         ones = np.ones((n, 1))
-        s = summarize_group(y, ones, ones, GAUSSIAN)
+        s = _one_summary(y, ones, ones, GAUSSIAN)
         assert s.r == 1
         np.testing.assert_allclose(s.V1, [[1 / SQRT2]], rtol=1e-14)
         np.testing.assert_allclose(s.V2, [[1 / SQRT2]], rtol=1e-14)
@@ -48,7 +60,7 @@ class TestSummarizeGroup:
         X = np.ones((3, 1))
         Z = np.array([[1.0], [0.0], [-1.0]])
         y = np.array([1.0, 2.0, 3.0])
-        s = summarize_group(y, X, Z, GAUSSIAN)
+        s = _one_summary(y, X, Z, GAUSSIAN)
         assert s.r == 2
         theta_full = np.vstack([s.V1, s.V2]) @ s.theta_rot
         np.testing.assert_allclose(theta_full, [2.0, -1.0], atol=1e-12)
@@ -59,7 +71,7 @@ class TestSummarizeGroup:
         Z = rng.normal(size=(9, 2))
         eta = np.array([0.5, -1.0, 2.0, 0.25])
         y = np.hstack([X, Z]) @ eta
-        s = summarize_group(y, X, Z, GAUSSIAN)
+        s = _one_summary(y, X, Z, GAUSSIAN)
         V = np.vstack([s.V1, s.V2])
         np.testing.assert_allclose(s.theta_rot, V.T @ eta, atol=1e-10)
         assert s.dispersion == pytest.approx(0.0, abs=1e-20)
@@ -70,7 +82,7 @@ class TestSummarizeGroup:
             n = int(rng.integers(3, 12))
             X = rng.normal(size=(n, 2))
             Z = rng.normal(size=(n, 3))
-            s = summarize_group(rng.normal(size=n), X, Z, GAUSSIAN)
+            s = _one_summary(rng.normal(size=n), X, Z, GAUSSIAN)
             gram = s.V1.T @ s.V1 + s.V2.T @ s.V2
             np.testing.assert_allclose(gram, np.eye(s.r), atol=1e-10)
             assert s.r <= min(n, 5)
@@ -81,7 +93,7 @@ class TestSummarizeGroup:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, 2))
         y = rng.normal(size=8)
-        s = summarize_group(y, X, X, GAUSSIAN)
+        s = _one_summary(y, X, X, GAUSSIAN)
         assert s.r == 2
         theta_full = np.vstack([s.V1, s.V2]) @ s.theta_rot
         F = np.hstack([X, X])
@@ -94,7 +106,7 @@ class TestSummarizeGroup:
         X = np.ones((30, 1))
         Z = rng.normal(size=(30, 1))
         y = (rng.random(30) < expit(0.3 * Z[:, 0])).astype(float)
-        s = summarize_group(y, X, Z, BINOMIAL_LOGIT)
+        s = _one_summary(y, X, Z, BINOMIAL_LOGIT)
         assert s.dispersion is None
         w = np.linalg.eigvalsh(s.precision)
         assert w[0] > 0
@@ -114,10 +126,10 @@ class TestSummarizeGroup:
         eta = X @ beta + Z @ u
         reps = 2000
         draws = np.empty((reps, 4))
-        s0 = summarize_group(eta, X, Z, GAUSSIAN)
+        s0 = _one_summary(eta, X, Z, GAUSSIAN)
         for k in range(reps):
             y = eta + math.sqrt(phi) * rng.normal(size=n)
-            s = summarize_group(y, X, Z, GAUSSIAN)
+            s = _one_summary(y, X, Z, GAUSSIAN)
             draws[k] = s.theta_rot
         target_mean = s0.V1.T @ beta + s0.V2.T @ u
         mean = draws.mean(axis=0)

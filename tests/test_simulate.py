@@ -22,23 +22,16 @@ from hiermoment.simulate import (
     fit_local,
     gen_replicate,
     losses,
-    misclass_by_group_size,
     run_study,
     study_table,
 )
-from hiermoment.simulate import (
-    _LOOP_KEYS,
-    _group_keys,
-    _pred_loss,
-    _seed_state,
-)
+from hiermoment.simulate import _group_keys, _pred_loss, _seed_state
 
 
 def _stub_fit(beta, sigma, phi=1.0):
     """MomentFit carrying only the fields the loss code reads."""
     p, q = beta.shape[0], sigma.shape[0]
-    record = ScaleRecord(x_scale=np.ones(p), z_scale=np.ones(q),
-                         x_zero=np.zeros(p, bool), z_zero=np.zeros(q, bool))
+    record = ScaleRecord(x_scale=np.ones(p), z_scale=np.ones(q))
     return MomentFit(
         beta=beta, sigma_raw=sigma, sigma=sigma, phi=phi,
         omega=np.eye(p), omega2_min_eig=1.0, rho=0, bias_B=np.zeros((q, q)),
@@ -188,20 +181,18 @@ class TestReplicateStreams:
                               np.concatenate(ref.mu))
 
     def test_cases_reach_their_branches(self):
-        """The odd, empty-group and few-group cases above test what their
-        names say."""
+        """The odd and empty-group cases above test what their names say."""
         _, odd = gen_replicate(12, 97, 2, 1, GAUSSIAN, seed=5)
         assert np.any(odd.n_alloc * 3 % 2 == 1)
         _, sparse = gen_replicate(60, 40, 2, 2, GAUSSIAN, seed=11)
         assert np.any(sparse.n_alloc == 0)
-        assert 3 <= _LOOP_KEYS < 12
 
     def test_group_keys_match_seed_sequence(self):
         bases = [(0,), (7,), (2**32 - 1,), (2**32,), (2**40 + 3, 1),
                  (3, 1, 4, 1, 5), (2**64 + 9, 0, 2**33)]
         count = 0
         for base in bases:
-            for M in (_LOOP_KEYS, 200):
+            for M in (1, 2, 3, 6, 200):
                 keys = _group_keys(base, M)
                 assert keys == [np.random.SeedSequence((*base, 1, i))
                                 .generate_state(2, np.uint64).tolist()
@@ -477,32 +468,6 @@ class TestRunStudy:
         assert values[header.index("method")] == "hier"
         # repr round trip preserves the float exactly
         assert float(values[header.index("fixed_mean")]) == rows[0].fixed_mean
-
-
-class TestMisclass:
-    def test_hand_counted_bins(self):
-        mu_hat = [0.6, 0.4, 0.5, 0.2]
-        y = [1, 1, 1, 0]
-        sizes = [1, 1, 5, 5]
-        out = misclass_by_group_size(mu_hat, y, sizes, [0, 2, 10])
-        assert out[0]["count"] == 2
-        assert out[0]["rate"] == pytest.approx(0.5)
-        assert out[0]["se"] == pytest.approx(math.sqrt(0.25 / 2))
-        assert out[1]["count"] == 2
-        assert out[1]["rate"] == 0.0  # the 0.5 tie predicts 1, matching y=1
-
-    def test_all_correct(self):
-        out = misclass_by_group_size([0.9, 0.1], [1, 0], [2, 3], [0, 10])
-        assert out[0]["rate"] == 0.0
-
-    def test_empty_bin_is_nan(self):
-        out = misclass_by_group_size([0.9], [1], [1], [0, 2, 4, 10])
-        assert math.isnan(out[1]["rate"])
-        assert out[1]["count"] == 0
-
-    def test_bad_edges_rejected(self):
-        with pytest.raises(ValueError):
-            misclass_by_group_size([0.5], [1], [1], [0, 0, 1])
 
 
 class TestEndToEnd:
