@@ -472,9 +472,6 @@ def _cmd_simulate(args) -> int:
     if not n_grid:
         raise _InputError("--N-grid is empty")
     methods = tuple(_split_cols(args.methods))
-    for m in methods:
-        if m not in ("hier", "global", "local"):
-            raise _InputError(f"--methods: unknown method {m!r}")
     options = FitOptions(scheme=args.weights, refits=args.refits)
     rows = run_study(
         n_grid, args.M, args.p, args.q, args.replicates, family,

@@ -4,6 +4,7 @@ global/local baseline fitters, and replicate studies."""
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
@@ -15,7 +16,6 @@ from .data import GroupedDataset
 from .ebayes import _grouped_dot, posterior_set, predict_grouped
 from .errors import HierMomentError
 from .families import Family, expit, fit_glm
-from .groups import summarize_groups
 from .linalg import compact_svd
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _MU_EPS = 1e-10
+_METHODS = ("hier", "global", "local")
 
 
 @dataclass(frozen=True)
@@ -261,15 +262,14 @@ def losses(
     """
     fixed = float(np.sum((truth.beta - fit.beta) ** 2))
 
-    w = np.linalg.eigvalsh(truth.Sigma)
+    w, Q = np.linalg.eigh(truth.Sigma)
     if w[0] > 1e-12 * max(w[-1], 1.0):
         E = np.linalg.solve(truth.Sigma.T, fit.sigma.T).T - np.eye(truth.Sigma.shape[0])
         cov = float(np.sum(E * E.T))
     else:
         cov = float("nan")
 
-    wS, QS = np.linalg.eigh(truth.Sigma)
-    root_inv = (QS / np.sqrt(np.maximum(wS, 1e-300))) @ QS.T
+    root_inv = (Q / np.sqrt(np.maximum(w, 1e-300))) @ Q.T
     M = truth.u.shape[0]
     uhat = np.zeros_like(truth.u)
     uhat[np.array(posteriors.ids, dtype=np.intp)] = posteriors.means
@@ -327,22 +327,25 @@ class LocalFit:
             np.hstack([dataset.X, dataset.Z]), dataset.sizes, rows, self.coef))
 
 
-def fit_local(dataset: GroupedDataset, family: Family) -> LocalFit:
-    """Fit each group separately by penalized maximum likelihood.
-
-    Uses the group summaries' rank-reduced Firth fit, run on all groups at
-    once; each group's coefficient is reconstructed into the full [X Z]
-    space. Groups whose summary fails predict through a zero coefficient.
-    """
-    columns, skipped = summarize_groups(dataset, family)
-    coef = (columns["V"] @ columns["theta"][:, :, None])[:, :, 0]
-    return LocalFit(columns["ids"], coef,
-                    failed=tuple(gid for gid, _ in skipped))
+def fit_local(fit: MomentFit) -> LocalFit:
+    """Each group's own fit (least squares, or Firth for logit), read from
+    the moment fit's summaries: ``[V1_i; V2_i] @ theta_i`` over the column
+    scales, as both fits are equivariant under column scaling. Groups the
+    fit skipped are ``failed`` and predict through a zero coefficient."""
+    sset, record = fit.summary_set, fit.scale_record
+    V = np.concatenate([sset.V1, sset.V2], axis=1)
+    coef = (V @ sset.theta[:, :, None])[:, :, 0]
+    coef /= np.concatenate([record.x_scale, record.z_scale])
+    return LocalFit(sset.ids, coef,
+                    failed=tuple(gid for gid, _ in sset.skipped))
 
 
 @dataclass(frozen=True)
 class StudyRow:
-    """Aggregated results for one (method, N) cell of a replicate study."""
+    """Aggregated results for one (method, N) cell of a replicate study. A
+    ``local`` row is the per-group fits read from the moment fit's summaries:
+    its ``seconds_mean`` times only that step, and it fails where ``hier``
+    does."""
 
     method: str
     n_obs: int
@@ -379,7 +382,7 @@ def run_study(
     q: int,
     replicates: int,
     family: Family,
-    methods=("hier", "global", "local"),
+    methods=_METHODS,
     seed=0,
     options: FitOptions | None = None,
 ) -> list[StudyRow]:
@@ -388,10 +391,18 @@ def run_study(
     For each N in ``n_grid`` and each replicate, generates a dataset and
     evaluates the requested methods. The hierarchical fit reports all four
     losses; the global and local baselines report the losses they define
-    (prediction always; fixed-effect loss for global). Failed fits are
-    counted and dropped from the aggregates. Deterministic given ``seed``.
+    (prediction always; fixed-effect loss for global). The local row is the
+    per-group fits read from the one :func:`fit_moment` it shares with hier:
+    it times only that step and fails wherever hier does. Failed fits are
+    counted and dropped from the aggregates. Deterministic given ``seed``;
+    an unknown method raises ``ValueError`` before any data are drawn.
     """
+    for method in methods:
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of "
+                             f"{', '.join(_METHODS)}")
     base = _entropy(seed)
+    nan = float("nan")
     rows = []
     for i_n, N in enumerate(n_grid):
         per_method = {m: [] for m in methods}
@@ -399,64 +410,51 @@ def run_study(
         for rep in range(replicates):
             dataset, truth = gen_replicate(M, N, p, q, family,
                                            seed=(*base, i_n, rep))
-            nan = float("nan")
+            fit = None
+            if "hier" in methods or "local" in methods:
+                t0 = time.perf_counter()
+                with suppress(HierMomentError):
+                    fit = fit_moment(dataset, family, options)
+                fit_s = time.perf_counter() - t0
             for method in methods:
+                if fit is None and method != "global":
+                    fail[method] += 1
+                    continue
                 try:
                     t0 = time.perf_counter()
                     if method == "hier":
-                        fit = fit_moment(dataset, family, options)
                         post = posterior_set(fit)
-                        elapsed = time.perf_counter() - t0
+                        elapsed = fit_s + time.perf_counter() - t0
                         rec = replace(losses(truth, fit, post, family,
                                              dataset), seconds=elapsed)
-                    elif method == "global":
-                        gfit = fit_global(dataset, family)
-                        elapsed = time.perf_counter() - t0
-                        mu_hat = dataset.split(
-                            gfit.predict(dataset.X, dataset.Z, family))
-                        rec = LossRecord(
-                            fixed_loss=float(np.sum(
-                                (truth.beta - gfit.coef[:p]) ** 2)),
-                            cov_loss=nan,
-                            raneff_loss=nan,
-                            pred_loss=_pred_loss(truth, mu_hat, family),
-                            seconds=elapsed,
-                        )
-                    elif method == "local":
-                        lfit = fit_local(dataset, family)
-                        elapsed = time.perf_counter() - t0
-                        mu_hat = dataset.split(lfit.predict(dataset, family))
-                        rec = LossRecord(
-                            fixed_loss=nan,
-                            cov_loss=nan,
-                            raneff_loss=nan,
-                            pred_loss=_pred_loss(truth, mu_hat, family),
-                            seconds=elapsed,
-                        )
                     else:
-                        raise ValueError(f"unknown method {method!r}")
+                        if method == "global":
+                            gfit = fit_global(dataset, family)
+                            elapsed = time.perf_counter() - t0
+                            fixed = float(np.sum(
+                                (truth.beta - gfit.coef[:p]) ** 2))
+                            mu_hat = gfit.predict(dataset.X, dataset.Z, family)
+                        else:
+                            lfit = fit_local(fit)
+                            elapsed = time.perf_counter() - t0
+                            fixed, mu_hat = nan, lfit.predict(dataset, family)
+                        rec = LossRecord(fixed, nan, nan, _pred_loss(
+                            truth, dataset.split(mu_hat), family), elapsed)
                 except HierMomentError:
                     fail[method] += 1
                     continue
                 per_method[method].append(rec)
         for method in methods:
             recs = per_method[method]
-            fx = _mean_se([r.fixed_loss for r in recs])
-            cv = _mean_se([r.cov_loss for r in recs])
-            rf = _mean_se([r.raneff_loss for r in recs])
-            pr = _mean_se([r.pred_loss for r in recs])
-            sec = _mean_se([r.seconds for r in recs])
+            cells = {}
+            for loss in ("fixed", "cov", "raneff", "pred"):
+                stats = _mean_se([getattr(r, f"{loss}_loss") for r in recs])
+                cells.update(zip((f"{loss}_mean", f"{loss}_se",
+                                  f"{loss}_median"), stats))
             rows.append(StudyRow(
                 method=method, n_obs=int(N), n_groups=M,
                 replicates=len(recs), failures=fail[method],
-                fixed_mean=fx[0], fixed_se=fx[1],
-                cov_mean=cv[0], cov_se=cv[1],
-                raneff_mean=rf[0], raneff_se=rf[1],
-                pred_mean=pr[0], pred_se=pr[1],
-                seconds_mean=sec[0],
-                fixed_median=fx[2], cov_median=cv[2],
-                raneff_median=rf[2], pred_median=pr[2],
-            ))
+                seconds_mean=_mean_se([r.seconds for r in recs])[0], **cells))
     return rows
 
 

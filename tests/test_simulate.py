@@ -8,15 +8,21 @@ mu=0.8 against mu_hat=0.5 gives 2*(0.8 ln 1.6 + 0.2 ln 0.4) = 0.38551.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hiermoment.combine import MomentFit, ScaleRecord, fit_moment
 from hiermoment.data import GroupData, GroupedDataset
+from hiermoment import groups, simulate
 from hiermoment.ebayes import PosteriorSet, posterior_set
+from hiermoment.errors import SingularOmega2Error
 from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN, expit
+from hiermoment.groups import summarize_groups
+from hiermoment.linalg import compact_svd
 from hiermoment.simulate import (
+    LocalFit,
     SimTruth,
     fit_global,
     fit_local,
@@ -386,29 +392,38 @@ class TestBaselines:
         Z = rng.normal(size=(10, 1))
         y = rng.normal(size=10)
         ds = GroupedDataset.from_long(y, X, Z, [7] * 10)
-        lfit = fit_local(ds, GAUSSIAN)
+        lfit = fit_local(fit_moment(ds, GAUSSIAN))
         assert lfit.ids == (7,)
         F = np.hstack([X, Z])
         ref, *_ = np.linalg.lstsq(F, y, rcond=None)
         np.testing.assert_allclose(lfit.coef[0], ref, atol=1e-10)
 
     def test_local_noiseless_prediction(self):
+        """Noiseless groups, each with its own random effect: every group's
+        own fit interpolates its rows exactly."""
         rng = np.random.default_rng(53)
-        X = rng.normal(size=(8, 2))
-        Z = rng.normal(size=(8, 2))
-        eta = np.hstack([X, Z]) @ np.array([1.0, 0.5, -0.5, 2.0])
-        ds = GroupedDataset.from_long(eta, X, Z, [0] * 8)
-        lfit = fit_local(ds, GAUSSIAN)
+        n, M = 8, 6
+        X = rng.normal(size=(n * M, 2))
+        Z = rng.normal(size=(n * M, 2))
+        u = np.repeat(rng.normal(size=(M, 2)), n, axis=0)
+        eta = X @ np.array([1.0, 0.5]) + np.sum(Z * u, axis=1)
+        ds = GroupedDataset.from_long(eta, X, Z, np.repeat(np.arange(M), n))
+        lfit = fit_local(fit_moment(ds, GAUSSIAN))
+        assert lfit.failed == ()
         np.testing.assert_allclose(lfit.predict(ds, GAUSSIAN), eta,
                                    atol=1e-10)
 
     def test_local_tiny_group_is_finite(self):
-        # single binary observation: Firth keeps the estimate finite
-        ds = GroupedDataset.from_long(np.array([1.0]), np.ones((1, 1)),
-                                      np.ones((1, 1)), [0])
-        lfit = fit_local(ds, BINOMIAL_LOGIT)
-        assert np.all(np.isfinite(lfit.coef[0]))
-        assert np.linalg.norm(lfit.coef[0]) < 20
+        # a group of one binary observation: Firth keeps its estimate finite
+        ds0, _ = gen_replicate(20, 600, 1, 1, BINOMIAL_LOGIT, seed=59)
+        ds = GroupedDataset.from_long(
+            np.append(ds0.y, 1.0), np.vstack([ds0.X, [[1.0]]]),
+            np.vstack([ds0.Z, [[1.0]]]),
+            np.append(np.repeat(ds0.ids, ds0.sizes), 99))
+        lfit = fit_local(fit_moment(ds, BINOMIAL_LOGIT))
+        coef = lfit.coef[lfit.ids.index(99)]
+        assert np.all(np.isfinite(coef))
+        assert np.linalg.norm(coef) < 20
 
     def test_local_zero_rank_group_predicts_through_zero(self):
         """A group with an all-zero design has no coefficient: fit_local
@@ -422,7 +437,7 @@ class TestBaselines:
                     X=g.X * (g.group_id != zero), Z=g.Z * (g.group_id != zero))
             for g in reversed(ds0.groups))
         ds = GroupedDataset(groups=groups, p=2, q=2)
-        lfit = fit_local(ds, GAUSSIAN)
+        lfit = fit_local(fit_moment(ds, GAUSSIAN))
         assert lfit.failed == (zero,)
         assert lfit.ids == tuple(i for i in ds0.ids if i != zero)
         mu = ds.split(lfit.predict(ds, GAUSSIAN))
@@ -433,6 +448,47 @@ class TestBaselines:
                 coef = lfit.coef[lfit.ids.index(g.group_id)]
                 np.testing.assert_allclose(m, np.hstack([g.X, g.Z]) @ coef,
                                            rtol=1e-12, atol=1e-12)
+
+
+class TestLocalReference:
+    """fit_local reads the moment fit's standardized-frame summaries. The
+    reference summarizes the dataset as given, unstandardized, and maps
+    each group's fit back through its own V."""
+
+    @staticmethod
+    def _reference(ds, family):
+        columns, skipped = summarize_groups(ds, family)
+        coef = (columns["V"] @ columns["theta"][:, :, None])[:, :, 0]
+        return LocalFit(columns["ids"], coef,
+                        failed=tuple(gid for gid, _ in skipped))
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_scaled_aliased_columns_match_reference(self, family):
+        ds0, _ = gen_replicate(300, 9000, 3, 3, family, seed=11)
+        one = np.ones((ds0.n_obs, 1))
+        ds = GroupedDataset.from_long(
+            ds0.y, np.hstack([one, ds0.X * [1e3, 1e-2, 7]]),
+            np.hstack([one, ds0.Z * [1e-2, 50, 1]]),
+            np.repeat(ds0.ids, ds0.sizes))
+        lfit = fit_local(fit_moment(ds, family))
+        ref = self._reference(ds, family)
+        assert lfit.ids == ref.ids
+        assert lfit.failed == ref.failed
+        np.testing.assert_allclose(lfit.predict(ds, family),
+                                   ref.predict(ds, family), rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_unscaled_study_data_bitwise(self, family):
+        """gen_replicate's +/-1 columns have unit RMS, so standardization
+        leaves them as they are."""
+        ds, _ = gen_replicate(300, 9000, 3, 3, family, seed=11)
+        lfit = fit_local(fit_moment(ds, family))
+        ref = self._reference(ds, family)
+        assert lfit.ids == ref.ids
+        assert lfit.failed == ref.failed
+        assert np.array_equal(lfit.coef, ref.coef)
 
 
 class TestRunStudy:
@@ -469,6 +525,53 @@ class TestRunStudy:
         # repr round trip preserves the float exactly
         assert float(values[header.index("fixed_mean")]) == rows[0].fixed_mean
 
+    def test_unknown_method_raises_before_any_data(self, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulate, "gen_replicate", no_data)
+        with pytest.raises(ValueError, match="'bogus'"):
+            run_study([200], M=10, p=2, q=2, replicates=1, family=GAUSSIAN,
+                      methods=("hier", "bogus"), seed=9)
+
+    def test_one_summary_pass_per_replicate(self, monkeypatch):
+        """hier and local share one stacked SVD of each replicate's groups;
+        global alone summarizes no group."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compact_svd(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "compact_svd", counted)
+        run_study([200], M=10, p=2, q=2, replicates=2, family=GAUSSIAN,
+                  seed=9)
+        assert len(calls) == 2
+        run_study([200], M=10, p=2, q=2, replicates=2, family=GAUSSIAN,
+                  methods=("global",), seed=9)
+        assert len(calls) == 2
+
+    def test_failed_moment_fit_fails_hier_and_local(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise SingularOmega2Error("stub")
+
+        monkeypatch.setattr(simulate, "fit_moment", failing)
+        rows = run_study([200], M=10, p=2, q=2, replicates=2,
+                         family=GAUSSIAN, seed=9)
+        fails = {r.method: (r.replicates, r.failures) for r in rows}
+        assert fails == {"hier": (0, 2), "global": (2, 0), "local": (0, 2)}
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_method_order_does_not_change_rows(self, family):
+        def cells(methods):
+            rows = run_study([400], M=12, p=2, q=2, replicates=2,
+                             family=family, methods=methods, seed=13)
+            # repr, as NaN cells never compare equal
+            return {r.method: repr(replace(r, seconds_mean=0.0)) for r in rows}
+
+        assert cells(("local", "hier")) == cells(("hier", "local"))
+
 
 class TestEndToEnd:
     def test_hierarchical_beats_baselines_on_grouped_data(self):
@@ -481,7 +584,7 @@ class TestEndToEnd:
 
         gfit = fit_global(ds, GAUSSIAN)
         mu_g = ds.split(gfit.predict(ds.X, ds.Z, GAUSSIAN))
-        lfit = fit_local(ds, GAUSSIAN)
+        lfit = fit_local(fit)
         mu_l = ds.split(lfit.predict(ds, GAUSSIAN))
         pred_g = _pred_loss(truth, mu_g, GAUSSIAN)
         pred_l = _pred_loss(truth, mu_l, GAUSSIAN)
