@@ -248,8 +248,8 @@ class FitOptions:
         ``refits`` passes with the estimated covariance), "unweighted", or
         "weighted" (single pass each).
     refits: number of semi-weighted refits after the initial pass, >= 0.
-    rank_tol: relative SVD rank threshold for group designs (see
-        :func:`hiermoment.linalg.compact_svd`).
+    rank_tol: relative SVD rank threshold for group designs, in [0, 1)
+        (see :func:`hiermoment.linalg.compact_svd`, which checks it).
     """
 
     scheme: str = "semiweighted"
@@ -326,6 +326,7 @@ def fit_moment(
         if step < n_refits:
             sigma0 = eigen_floor(sigma / max(phi, 1e-12), REFIT_FLOOR)
             spec = WeightSpec.semi_weighted(sigma0)
+            del weights  # not held while the next pass builds its own
 
     xs, zs = record.x_scale, record.z_scale
     zz = np.outer(zs, zs)

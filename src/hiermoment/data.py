@@ -84,8 +84,8 @@ class GroupedDataset:
         X : array-like of shape (N, p)
         Z : array-like of shape (N, q)
         group_ids : sequence of length N
-            Orderable, hashable group keys, all of one type; a string may
-            not end in a NUL character. An ndarray is taken as it is.
+            Orderable, hashable group keys, all of one type, not NaN; a
+            string may not end in a NUL. An ndarray is taken as it is.
         """
         y = np.ascontiguousarray(y, dtype=float)
         X = np.ascontiguousarray(X, dtype=float)
@@ -106,6 +106,8 @@ class GroupedDataset:
                     raise ValueError(f"group id {nul!r} ends in a NUL "
                                      "character")
         ids = np.asarray(group_ids)
+        if ids.dtype.kind == "f" and np.isnan(ids).any():
+            raise ValueError("group ids contain NaN, which is unequal to itself")
         if not (y.shape[0] == X.shape[0] == Z.shape[0] == ids.shape[0]):
             raise ValueError("y, X, Z, and group_ids must have equal length")
         if y.shape[0] == 0:

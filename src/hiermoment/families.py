@@ -1,6 +1,5 @@
 """Response families (gaussian-identity, binomial-logit), the logit GLM fit
-of many groups at once, Pearson dispersion, and the plug-in unscaled
-precision.
+of many groups at once, and the plug-in unscaled precision.
 
 Stacked layout: the rows of M groups lie in one long array in contiguous
 blocks, group i owning rows ``starts[i]:starts[i + 1]``, and every group's
@@ -40,7 +39,6 @@ __all__ = [
     "BINOMIAL_LOGIT",
     "get_family",
     "fit_glm",
-    "pearson_dispersion",
     "unscaled_precision",
     "singular_precision",
 ]
@@ -433,20 +431,6 @@ def _firth(y, F, stack):
             step[trial] /= 2.0
     return GlmFit(coef=coef, fitted_mean=mu, converged=converged,
                   iterations=passes, deviance=-2.0 * ll)
-
-
-def pearson_dispersion(y, mu, family: Family, r, starts):
-    """Pearson dispersion ``sum (y-mu)^2/V(mu) / (n - r)`` of each group, the
-    rows stacked as for :func:`fit_glm` with ``r`` per group: NaN where
-    ``n <= r`` (no residual degrees of freedom; such a group contributes
-    zero weight to dispersion pooling).
-    """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    stack = _Stack.make(y.shape[0], 1, starts, None)
-    pearson = np.add.reduceat((y - mu) ** 2 / family.variance(mu), stack.starts)
-    df = stack.sizes - np.asarray(r)
-    return np.divide(pearson, df, out=np.full(df.shape, np.nan), where=df > 0)
 
 
 def unscaled_precision(F0, mu, family: Family, starts, ranks=None):

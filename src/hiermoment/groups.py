@@ -3,15 +3,16 @@
 Each group's raw data (y_i, X_i, Z_i) collapses to an orthonormal basis of the
 identifiable coefficient subspace, a rotated coefficient estimate, and an
 unscaled precision matrix. The groups are read straight from the dataset's
-long columns: one stacked :func:`compact_svd` call factors every group's
-``[X Z]`` block (bucketed by exact row count, see :mod:`hiermoment.linalg`).
-A gaussian group's least-squares fit is closed form in its SVD frame; logit
-groups are fitted, and their plug-in precisions taken, by one call each on
-all groups stacked (see :mod:`hiermoment.families`), as are the Pearson
-dispersions. There is no loop over groups, and each group's result depends
-on its own rows only. The summaries are written directly into zero-padded
-stacks ordered by group id, so every population sum over groups is one array
-operation; per-group :class:`GroupSummary` views are built on demand.
+long columns: one stacked :func:`compact_svd` call (an R-SVD bucketed by
+exact row count, see :mod:`hiermoment.linalg`) reduces every group's
+``[X Z y]`` rows, and a gaussian group's fit and Pearson dispersion are
+closed form in the result. Logit groups are fitted, and their plug-in
+precisions taken, by one call each on all groups stacked (see
+:mod:`hiermoment.families`). There is no loop over groups, and each group's
+result depends on its own rows only. The summaries are written directly
+into zero-padded stacks ordered by group id, so every population sum over
+groups is one array operation; per-group :class:`GroupSummary` views are
+built on demand.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ from .errors import (
 )
 from .families import (
     Family,
-    _Stack,
     fit_glm,
-    pearson_dispersion,
     singular_precision,
     unscaled_precision,
 )
-from .linalg import compact_svd, sym
+from .linalg import compact_svd, rotated_design, sym
 
 __all__ = [
     "GroupSummary",
@@ -53,7 +52,7 @@ class GroupSummary:
     """Sufficient statistics for one group.
 
     The group design ``F = [X Z]`` factors as ``F = F0 @ V.T`` with
-    ``F0 = U * d`` of full column rank r; ``V1``/``V2`` are the fixed- and
+    ``F0 = F @ V`` of full column rank r; ``V1``/``V2`` are the fixed- and
     random-effect blocks of V. ``theta_rot`` is the coefficient estimate in
     the rotated frame (the full-space estimate is ``V @ theta_rot``), and
     ``precision`` is its unscaled precision matrix.
@@ -164,14 +163,14 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
                      rank_tol: float | None = None):
     """Reduce every group of ``dataset`` to its summary, as stacks.
 
-    One stacked :func:`compact_svd` of the long ``[X Z]`` columns decides
-    each group's rank, and rank-0 groups are dropped by a mask. A gaussian
-    group with factors ``F = U diag(d) V'`` has the closed-form least-squares
-    fit ``theta = U'y / d`` in its SVD frame, fitted mean ``U U'y`` and
-    precision ``diag(d^2)``, all exact. Logit groups' rotated designs
-    ``F0 = U * d`` (zero-padded to k = p + q columns) are fitted together by
-    one Firth-penalized :func:`fit_glm` call, and their plug-in precisions
-    are one stacked call. The Pearson dispersions are one stacked call.
+    One stacked :func:`compact_svd` of the long ``[X Z]`` columns and y
+    decides each group's rank, and rank-0 groups are dropped by a mask. A
+    gaussian group with factors ``F = U diag(d) V'`` has the closed-form
+    fit ``theta = U'y / d`` in its SVD frame, Pearson dispersion
+    ``rss / (n - r)`` and precision ``diag(d^2)``, with no row pass. Logit
+    groups' rotated designs ``F0 = F V`` (zero-padded to k = p + q columns)
+    are built in one array and fitted together by one Firth-penalized
+    :func:`fit_glm` call, and their plug-in precisions are one stacked call.
 
     Returns
     -------
@@ -188,42 +187,32 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
     """
     k, sizes = dataset.p + dataset.q, dataset.sizes
     gaussian = family.name == "gaussian"
-    svd = compact_svd(np.hstack([dataset.X, dataset.Z]), rank_tol,
+    svd = compact_svd((dataset.X, dataset.Z), dataset.y, rank_tol,
                       starts=dataset.offsets[:-1])
     kept = np.flatnonzero(svd.r > 0)
     reasons = {i: ZeroRankError("group design is all zero (rank 0)")
                for i in np.flatnonzero(svd.r == 0).tolist()}
     n, r, d = sizes[kept], svd.r[kept], svd.d[kept]
     pad = np.arange(k) >= r[:, None]
-    theta = np.zeros((kept.size, k))
-    precision = np.zeros((kept.size, k, k))
+    theta, precision = np.zeros((kept.size, k)), np.zeros((kept.size, k, k))
     dispersion = np.full(kept.size, np.nan)
-    if kept.size:
-        U, y = svd.U, dataset.y
-        if reasons:
-            rows = np.repeat(svd.r > 0, sizes)
-            U, y = U[rows], y[rows]
-        stack = _Stack(np.cumsum(n) - n, n, pad)
-        if gaussian:
-            # U is zero in the padded directions, so c and theta are too.
-            c = stack.sums(k, lambda lo, hi: U[lo:hi] * y[lo:hi, None])
-            np.divide(c, d, out=theta, where=~pad)
-            mu = stack.linear_predictor(U, c)
-        else:
-            F0 = U  # scaled in place: U is not read again
-            F0 *= np.repeat(d, n, axis=0)
-            fit = fit_glm(y, F0, family, starts=stack.starts, ranks=r)
-            theta, mu = np.where(pad, 0.0, fit.coef), fit.fitted_mean
-            P = unscaled_precision(F0, mu, family, stack.starts, r)
-            precision = np.where(pad[:, :, None] | pad[:, None, :], np.eye(k), P)
-            for j in np.flatnonzero(~fit.converged).tolist():
-                reasons[int(kept[j])] = ConvergenceError(
-                    f"the fit did not converge in {fit.iterations} iterations")
-            for j, problem in singular_precision(P, r).items():
-                reasons.setdefault(int(kept[j]),
-                                   DegeneratePrecisionError(problem))
-        if not family.dispersion_known:
-            dispersion = pearson_dispersion(y, mu, family, r, stack.starts)
+    if gaussian:
+        np.divide(svd.c[kept], d, out=theta, where=~pad)
+        np.divide(svd.rss[kept], n - r, out=dispersion, where=n > r)
+    elif kept.size:
+        y = dataset.y[np.repeat(svd.r > 0, sizes)] if reasons else dataset.y
+        starts = np.cumsum(n) - n
+        F0 = rotated_design((dataset.X, dataset.Z), svd.V[kept],
+                            dataset.offsets[kept], n)
+        fit = fit_glm(y, F0, family, starts=starts, ranks=r)
+        theta = np.where(pad, 0.0, fit.coef)
+        P = unscaled_precision(F0, fit.fitted_mean, family, starts, r)
+        precision = np.where(pad[:, :, None] | pad[:, None, :], np.eye(k), P)
+        for j in np.flatnonzero(~fit.converged).tolist():
+            reasons[int(kept[j])] = ConvergenceError(
+                f"the fit did not converge in {fit.iterations} iterations")
+        for j, problem in singular_precision(P, r).items():
+            reasons.setdefault(int(kept[j]), DegeneratePrecisionError(problem))
     sel = np.flatnonzero(~np.isin(kept, list(reasons)))
     keys = list(map(dataset.ids.__getitem__, kept[sel].tolist()))
     order = sorted(range(len(keys)), key=keys.__getitem__)

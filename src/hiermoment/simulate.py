@@ -16,7 +16,7 @@ from .data import GroupedDataset
 from .ebayes import _grouped_dot, posterior_set, predict_grouped
 from .errors import HierMomentError
 from .families import Family, expit, fit_glm
-from .linalg import compact_svd
+from .linalg import compact_svd, rotated_design
 
 __all__ = [
     "SimTruth",
@@ -300,11 +300,13 @@ def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
     Firth-penalized coefficient vector. The gaussian least-squares fit is
     closed form in the SVD frame, ``U'y / d``.
     """
-    svd = compact_svd(np.hstack([dataset.X, dataset.Z]))
+    svd = compact_svd((dataset.X, dataset.Z), dataset.y)
     if family.name == "gaussian":
-        theta = (svd.U.T @ dataset.y) / svd.d
+        theta = svd.c / svd.d
     else:
-        theta = fit_glm(dataset.y, svd.U * svd.d, family).coef
+        F0 = rotated_design((dataset.X, dataset.Z), svd.V[None],
+                            np.zeros(1, np.intp), np.array([dataset.n_obs]))
+        theta = fit_glm(dataset.y, F0, family).coef
     return GlobalFit(coef=svd.V @ theta)
 
 

@@ -130,6 +130,20 @@ class TestFitCommand:
         assert rc == 2
         assert "refits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "1", "nan", "inf"])
+    def test_rank_tol_outside_unit_interval_rejected(self, tmp_path, capsys,
+                                                     value):
+        src = tmp_path / "data.csv"
+        _oneway_csv(src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", "--input", str(src), "--group-col", "g",
+                       "--response-col", "y", "--rank-tol", value,
+                       "--out", str(tmp_path / "fit.txt")])
+        assert rc == 2
+        assert "rank_tol must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "fit.txt").exists()
+
     def test_logit_separated_group_stays_finite(self, tmp_path):
         src = tmp_path / "data.csv"
         rng = np.random.default_rng(73)

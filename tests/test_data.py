@@ -96,6 +96,15 @@ class TestChecks:
         with pytest.raises(ValueError, match="group 'q': non-finite"):
             ds.with_columns(X, ds.Z)
 
+    def test_nan_group_ids_rejected(self):
+        """NaN ids compare unequal to each other, so a sort would split them
+        into one group per row; they are refused, as a list or an array."""
+        ids = [1.0, 1.0, np.nan, np.nan, 2.0, 2.0, np.nan, 3.0, 3.0]
+        for given in (ids, np.array(ids)):
+            with pytest.raises(ValueError, match="NaN"):
+                GroupedDataset.from_long(np.ones(9), np.ones((9, 1)),
+                                         np.ones((9, 1)), given)
+
     def test_block_rows_must_match(self):
         g = GroupData("g", np.ones(3), np.ones((2, 1)), np.ones((3, 1)))
         with pytest.raises(ValueError, match="group 'g'"):

@@ -24,7 +24,6 @@ from hiermoment.families import (
     expit as hm_expit,
     fit_glm,
     get_family,
-    pearson_dispersion,
     singular_precision,
     unscaled_precision,
 )
@@ -370,45 +369,6 @@ class TestSmallMatrixPaths:
         mask = families._negative_definite(H)
         np.testing.assert_array_equal(mask, np.linalg.eigvalsh(H)[:, -1] < 0.0)
         assert mask.sum() == 35
-
-
-class TestDispersion:
-    """One-group checks of the stacked dispersion, ``starts=[0]``."""
-
-    def test_hand_case(self):
-        y = np.array([1.0, -1.0, 2.0])
-        mu = np.zeros(3)
-        assert pearson_dispersion(y, mu, GAUSSIAN, [1], [0])[0] == \
-            pytest.approx(3.0)
-
-    def test_no_residual_df_returns_none(self):
-        """No residual degrees of freedom gives NaN, the mark of a group
-        without a Pearson estimate."""
-        for r in (2, 3):
-            out = pearson_dispersion(np.ones(2), np.ones(2), GAUSSIAN, [r], [0])
-            assert out.shape == (1,) and np.isnan(out[0])
-
-    def test_gaussian_unbiased(self):
-        """Mean Pearson dispersion over many groups is sigma^2 (within 3 SE)."""
-        rng = np.random.default_rng(17)
-        sigma2 = 2.5
-        n, r = 10, 3
-        vals = []
-        for _ in range(2000):
-            F0 = rng.normal(size=(n, r))
-            y = F0 @ rng.normal(size=r) + rng.normal(scale=math.sqrt(sigma2), size=n)
-            mu = F0 @ np.linalg.lstsq(F0, y, rcond=None)[0]
-            vals.append(pearson_dispersion(y, mu, GAUSSIAN, [r], [0])[0])
-        vals = np.array(vals)
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - sigma2) < 3 * se
-
-    def test_binomial_variance_in_denominator(self):
-        y = np.array([1.0, 0.0])
-        mu = np.array([0.5, 0.5])
-        # (0.5^2 + 0.5^2) / 0.25 / (2 - 1) = 2
-        assert pearson_dispersion(y, mu, BINOMIAL_LOGIT, [1], [0])[0] == \
-            pytest.approx(2.0)
 
 
 class TestUnscaledPrecision:

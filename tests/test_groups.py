@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from hiermoment.combine import fit_moment
+from hiermoment.combine import FitOptions, fit_moment
 from hiermoment.data import GroupData, GroupedDataset
 from hiermoment.ebayes import posterior_set
 from hiermoment.errors import DispersionError
@@ -142,6 +142,54 @@ class TestSummarizeGroup:
         cov = prods.mean(axis=0) * reps / (reps - 1)
         cov_se = prods.std(axis=0, ddof=1) / math.sqrt(reps)
         assert np.all(np.abs(cov - target_cov) < 4 * cov_se)
+
+
+class TestDispersion:
+    """A gaussian group's dispersion ``rss / (n - r)``, its residual sum of
+    squares taken from the R-SVD of ``[X Z y]``."""
+
+    def test_hand_case(self):
+        # The one-way fit of y = (1, -1, 2): mean 2/3, residuals
+        # (1/3, -5/3, 4/3), rss 42/9 on 2 degrees of freedom.
+        ones = np.ones((3, 1))
+        s = _one_summary(np.array([1.0, -1.0, 2.0]), ones, ones, GAUSSIAN)
+        assert s.r == 1
+        assert s.dispersion == pytest.approx(7.0 / 3.0, rel=1e-14)
+
+    def test_no_residual_df_returns_none(self):
+        """No residual degrees of freedom (n = r, here 2 and 1) gives no
+        dispersion estimate."""
+        for X, Z in [(np.eye(2)[:, :1], np.eye(2)[:, 1:]),
+                     (np.ones((1, 1)), np.full((1, 1), 2.0))]:
+            s = _one_summary(np.arange(1.0, len(X) + 1), X, Z, GAUSSIAN)
+            assert s.r == len(X) and s.dispersion is None
+
+    def test_gaussian_unbiased(self):
+        """Mean dispersion over many groups is sigma^2 (within 3 SE)."""
+        rng = np.random.default_rng(17)
+        sigma2, M, n = 2.5, 2000, 10
+        X, Z = rng.normal(size=(M * n, 1)), rng.normal(size=(M * n, 2))
+        y = np.hstack([X, Z]) @ rng.normal(size=3) \
+            + rng.normal(scale=math.sqrt(sigma2), size=M * n)
+        ds = GroupedDataset.from_long(y, X, Z, np.repeat(np.arange(M), n))
+        columns, _ = summarize_groups(ds, GAUSSIAN)
+        assert np.all(columns["r"] == 3)
+        vals = columns["dispersion"]
+        se = vals.std(ddof=1) / math.sqrt(M)
+        assert abs(vals.mean() - sigma2) < 3 * se
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rank_tol", [-1.0, 1.0, np.nan, np.inf])
+def test_rank_tol_outside_unit_interval_rejected(rank_tol):
+    """A rank threshold that is not finite or not in [0, 1) is refused
+    before any work, wherever it is given."""
+    ds = GroupedDataset.from_long(*_random_dataset(np.random.default_rng(3)))
+    with pytest.raises(ValueError, match=r"rank_tol must be finite and in"):
+        build_summary_set(ds, GAUSSIAN, rank_tol=rank_tol)
+    with pytest.raises(ValueError, match=r"rank_tol must be finite and in"):
+        fit_moment(ds, GAUSSIAN, FitOptions(rank_tol=rank_tol))
+    assert len(build_summary_set(ds, GAUSSIAN, rank_tol=0.0).ids) == 12
 
 
 class TestPoolDispersion:

@@ -19,6 +19,7 @@ from hiermoment.linalg import (
     compact_svd,
     eigen_floor,
     psd_project,
+    rotated_design,
     sym_sqrt,
 )
 
@@ -39,73 +40,122 @@ def _dense_sym_basis(q):
     return mats
 
 
+def _ref_rank(F, rank_tol=np.finfo(float).eps):
+    """Numerical rank by the rule of compact_svd, from a direct SVD."""
+    s = np.linalg.svd(F, compute_uv=False)
+    return int(np.count_nonzero(s > rank_tol * max(F.shape) * s[0])) \
+        if s.size else 0
+
+
+def _awkward_design(rng, n, p=3, q=3):
+    """An (n, p + q) design of +-1 or normal entries with the defects group
+    designs meet: shared columns, shared intercepts, scaled linear
+    combinations, column scales of 1e-8 and 1e8, and zero columns."""
+    k = p + q
+    F = rng.choice([-1.0, 1.0], size=(n, k)) if rng.random() < 0.5 \
+        else rng.normal(size=(n, k))
+    for _ in range(int(rng.integers(0, 4))):
+        i, j, m = rng.choice(k, size=3, replace=False)
+        kind = rng.integers(5)
+        if kind == 0:                                   # shared column
+            F[:, j] = F[:, i]
+        elif kind == 1:                                 # shared intercepts
+            F[:, 0] = F[:, p] = 1.0
+        elif kind == 2:                                 # scaled combination
+            a, b = 10.0 ** rng.uniform(-3, 3, size=2)
+            F[:, j] = a * F[:, i] - b * F[:, m]
+        elif kind == 3:                                 # extreme scale
+            F[:, j] *= 10.0 ** rng.choice([-8, 8])
+        else:                                           # zero column
+            F[:, j] = 0.0
+    return F
+
+
 class TestCompactSvd:
     def test_rank_one_ones_matrix(self):
-        # [[1,1],[1,1]] = 2 * (1,1)/sqrt(2) (x) (1,1)/sqrt(2)
-        svd = compact_svd(np.ones((2, 2)))
+        # [[1,1],[1,1]] = 2 * (1,1)/sqrt(2) (x) (1,1)/sqrt(2), so for
+        # y = (1, 3): c = U'y = 4/sqrt(2) and the residual is (-1, 1).
+        svd = compact_svd(np.ones((2, 2)), np.array([1.0, 3.0]))
         assert svd.r == 1
         np.testing.assert_allclose(svd.d, [2.0], rtol=1e-14)
-        np.testing.assert_allclose(svd.U[:, 0], [1 / SQRT2, 1 / SQRT2], rtol=1e-14)
         np.testing.assert_allclose(svd.V[:, 0], [1 / SQRT2, 1 / SQRT2], rtol=1e-14)
+        np.testing.assert_allclose(svd.c, [4.0 / SQRT2], rtol=1e-14)
+        assert svd.rss == pytest.approx(2.0, rel=1e-14)
 
     def test_diagonal(self):
-        svd = compact_svd(np.diag([3.0, 0.0]))
+        svd = compact_svd(np.diag([3.0, 0.0]), np.array([1.0, 2.0]))
         assert svd.r == 1
         np.testing.assert_allclose(svd.d, [3.0])
         np.testing.assert_allclose(np.abs(svd.V[:, 0]), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(svd.c, [1.0], rtol=1e-15)
+        assert svd.rss == pytest.approx(4.0, rel=1e-15)
 
     def test_reconstruction_and_orthonormality(self):
+        """``F V`` has orthogonal columns of norms d and spans F's rows, V
+        is orthonormal, and c and rss are those of ``U = F V / d``."""
         rng = np.random.default_rng(42)
         for n, k in [(10, 3), (5, 5), (3, 7)]:
-            F = rng.normal(size=(n, k))
-            svd = compact_svd(F)
+            F, y = rng.normal(size=(n, k)), rng.normal(size=n)
+            svd = compact_svd(F, y)
             assert svd.r == min(n, k)
-            recon = svd.U @ np.diag(svd.d) @ svd.V.T
-            np.testing.assert_allclose(recon, F, atol=1e-10 * svd.d[0])
-            np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(svd.r), atol=1e-12)
+            FV = F @ svd.V
+            np.testing.assert_allclose(FV.T @ FV, np.diag(svd.d ** 2),
+                                       rtol=0, atol=1e-12 * svd.d[0] ** 2)
+            np.testing.assert_allclose(FV @ svd.V.T, F, atol=1e-10 * svd.d[0])
             np.testing.assert_allclose(svd.V.T @ svd.V, np.eye(svd.r), atol=1e-12)
+            U = FV / svd.d
+            np.testing.assert_allclose(svd.c, U.T @ y, rtol=0, atol=1e-12)
+            assert svd.rss == pytest.approx(np.sum((y - U @ svd.c) ** 2),
+                                            rel=1e-10, abs=1e-24)
 
     def test_duplicate_column_drops_rank(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(8, 1)), rng.normal(size=(8, 1))
-        svd = compact_svd(np.hstack([a, a, b]))
+        svd = compact_svd(np.hstack([a, a, b]), rng.normal(size=8))
         assert svd.r == 2
 
     def test_rank_tol_drops_small_values(self):
-        F = np.diag([1.0, 1e-9])
-        assert compact_svd(F).r == 2
-        assert compact_svd(F, rank_tol=1e-6).r == 1
+        F, y = np.diag([1.0, 1e-9]), np.ones(2)
+        assert compact_svd(F, y).r == 2
+        assert compact_svd(F, y, rank_tol=1e-6).r == 1
 
     def test_sign_convention_positive_lead(self):
         rng = np.random.default_rng(11)
-        svd = compact_svd(rng.normal(size=(6, 4)))
+        svd = compact_svd(rng.normal(size=(6, 4)), rng.normal(size=6))
         for j in range(svd.r):
             lead = np.argmax(np.abs(svd.V[:, j]))
             assert svd.V[lead, j] > 0
 
     def test_deterministic_across_copies(self):
         rng = np.random.default_rng(1)
-        F = rng.normal(size=(9, 4))
-        a = compact_svd(F)
-        b = compact_svd(F.copy(order="F"))
-        assert np.array_equal(a.U, b.U)
-        assert np.array_equal(a.d, b.d)
-        assert np.array_equal(a.V, b.V)
+        F, y = rng.normal(size=(9, 4)), rng.normal(size=9)
+        a = compact_svd(F, y)
+        b = compact_svd(F.copy(order="F"), y.copy())
+        c = compact_svd((F[:, :1], F[:, 1:]), y)  # blocks, no joined copy
+        for other in (b, c):
+            assert np.array_equal(a.d, other.d)
+            assert np.array_equal(a.V, other.V)
+            assert np.array_equal(a.c, other.c)
+            assert a.rss == other.rss
 
     def test_zero_matrix_rank_zero(self):
-        svd = compact_svd(np.zeros((3, 2)))
+        y = np.array([1.0, -2.0, 2.0])
+        svd = compact_svd(np.zeros((3, 2)), y)
         assert svd.r == 0
-        assert svd.d.shape == (0,)
+        assert svd.d.shape == svd.c.shape == (0,)
+        assert svd.rss == pytest.approx(9.0, rel=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            compact_svd(np.array([[1.0, np.nan]]))
+            compact_svd(np.array([[1.0, np.nan]]), np.ones(1))
+        with pytest.raises(ValueError):
+            compact_svd(np.array([[1.0, 2.0]]), np.array([np.inf]))
 
     def test_stacked_bitwise_equal_to_one_matrix_calls(self):
-        """Row blocks of every awkward shape, factored in one stacked call,
-        give bitwise the factors of one-matrix calls, zero-padded to k
-        directions; each one-matrix call's singular values are bitwise
-        LAPACK's on the block alone, which zero-padded rows would break."""
+        """Row blocks of every awkward shape, reduced in one stacked call,
+        give bitwise the results of one-matrix calls, zero-padded to k
+        directions; each one-matrix call's singular values agree with
+        LAPACK's on the block alone."""
         rng = np.random.default_rng(23)
         k = 4
         H = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
@@ -121,25 +171,101 @@ class TestCompactSvd:
             np.hstack([a, a[:, :1], rng.normal(size=(7, 1))]),  # r = 3
             np.zeros((5, k)),                           # r = 0
         ]
-        # One bucket longer than a batched call: 9 * 4 entries per block.
-        blocks += list(rng.normal(size=(2 ** 16 // 36 + 50, 9, k)))
+        # One bucket longer than a batched call: 9 * 5 entries per block.
+        blocks += list(rng.normal(size=(2 ** 16 // 45 + 50, 9, k)))
         order = rng.permutation(len(blocks))
         blocks = [blocks[i] for i in order]
         sizes = np.array([b.shape[0] for b in blocks])
         starts = np.cumsum(sizes) - sizes
-        st = compact_svd(np.vstack(blocks), starts=starts)
+        y = rng.normal(size=sizes.sum())
+        st = compact_svd(np.vstack(blocks), y, starts=starts)
         assert sorted(st.r[np.argsort(order)][:8]) == [0, 1, 1, 3, 3, 4, 4, 4]
+        assert st.V.flags.c_contiguous
         for i, (b, lo) in enumerate(zip(blocks, starts)):
-            one = compact_svd(b)
-            r, rows = one.r, slice(lo, lo + b.shape[0])
+            one = compact_svd(b, y[lo:lo + b.shape[0]])
+            r = one.r
             assert st.r[i] == r
-            assert np.array_equal(
-                one.d, np.linalg.svd(b, full_matrices=False)[1][:r])
+            s = np.linalg.svd(b, compute_uv=False)
+            np.testing.assert_allclose(one.d, s[:r], rtol=0,
+                                       atol=1e-14 * s[0])
             assert np.array_equal(st.d[i, :r], one.d)
             assert np.array_equal(st.V[i, :, :r], one.V)
-            assert np.array_equal(st.U[rows, :r], one.U)
+            assert np.array_equal(st.c[i, :r], one.c)
+            assert st.rss[i] == one.rss
             assert not st.d[i, r:].any() and not st.V[i, :, r:].any()
-            assert not st.U[rows, r:].any()
+            assert not st.c[i, r:].any()
+
+    def test_ranks_match_direct_svd_under_stress(self):
+        """3,000 groups of 1 to 60 rows with aliased, rescaled and zero
+        columns: every rank equals that of a direct SVD of the group."""
+        rng = np.random.default_rng(101)
+        Fs = [_awkward_design(rng, int(n))
+              for n in rng.integers(1, 61, size=3000)]
+        sizes = np.array([len(F) for F in Fs])
+        svd = compact_svd(np.vstack(Fs), rng.normal(size=sizes.sum()),
+                          starts=np.cumsum(sizes) - sizes)
+        ref = [_ref_rank(F) for F in Fs]
+        assert svd.r.tolist() == ref
+        assert 0 < min(ref) and min(ref) < max(ref)
+
+    @pytest.mark.parametrize("noise", [1.0, 0.0])
+    def test_least_squares_against_lstsq(self, noise):
+        """c, the fitted values of ``theta = c / d`` and the residual sum of
+        squares agree with a per-group ``np.linalg.lstsq`` at the same rank
+        cutoff, noiseless groups too."""
+        rng = np.random.default_rng(103 + int(noise))
+        Fs = [_awkward_design(rng, int(n))
+              for n in rng.integers(1, 61, size=600)]
+        Fs = [F for F in Fs if _ref_rank(F) > 0]
+        ys = [F @ rng.normal(size=F.shape[1]) + noise * rng.normal(size=len(F))
+              for F in Fs]
+        sizes = np.array([len(F) for F in Fs])
+        starts = np.cumsum(sizes) - sizes
+        svd = compact_svd(np.vstack(Fs), np.concatenate(ys), starts=starts)
+        eps = np.finfo(float).eps
+        for i, (F, y) in enumerate(zip(Fs, ys)):
+            r, ynorm = svd.r[i], np.linalg.norm(y)
+            d, V, c = svd.d[i, :r], svd.V[i, :, :r], svd.c[i, :r]
+            # The fit's directions, and so c, are determined to about
+            # eps d[0] / d[r - 1]; so are those of the reference.
+            tol = 1e-12 * ynorm * d[0] / d[-1]
+            np.testing.assert_allclose(c, (F @ V / d).T @ y, rtol=0, atol=tol)
+            coef, *_ = np.linalg.lstsq(F, y, rcond=eps * max(F.shape))
+            fitted = F @ coef
+            np.testing.assert_allclose(F @ (V @ (c / d)), fitted, rtol=0,
+                                       atol=tol)
+            rss = np.sum((y - fitted) ** 2)
+            assert abs(svd.rss[i] - rss) <= 4.0 * tol * ynorm
+            if noise == 0.0:
+                assert svd.rss[i] <= 1e-12 * ynorm ** 2
+
+    def test_long_matrix_in_row_pieces(self):
+        """A matrix longer than one gathered piece is reduced piece by
+        piece and still gives the least-squares fit."""
+        rng = np.random.default_rng(107)
+        F = rng.normal(size=(40000, 5)) * [1.0, 1e3, 1e-3, 1.0, 1.0]
+        y = F @ rng.normal(size=5) + rng.normal(size=40000)
+        svd = compact_svd(F, y)
+        beta, res, *_ = np.linalg.lstsq(F, y, rcond=None)
+        s = np.linalg.svd(F, compute_uv=False)
+        np.testing.assert_allclose(svd.d, s, rtol=0, atol=1e-13 * s[0])
+        np.testing.assert_allclose(svd.V @ (svd.c / svd.d), beta, rtol=1e-10)
+        assert svd.rss == pytest.approx(res[0], rel=1e-10)
+
+
+class TestRotatedDesign:
+    def test_each_group_times_its_v(self):
+        rng = np.random.default_rng(109)
+        sizes = np.array([3, 1, 3, 20000, 2])
+        starts = np.cumsum(sizes) - sizes
+        X, Z = rng.normal(size=(sizes.sum(), 2)), rng.normal(size=(sizes.sum(), 3))
+        V = rng.normal(size=(sizes.size, 5, 5))
+        keep = np.array([0, 2, 3, 4])
+        F0 = rotated_design((X, Z), V[keep], starts[keep], sizes[keep])
+        assert F0.shape == (sizes[keep].sum(), 5) and F0.flags.f_contiguous
+        ref = np.vstack([np.hstack([X, Z])[starts[i]:starts[i] + sizes[i]]
+                         @ V[i] for i in keep])
+        np.testing.assert_allclose(F0, ref, rtol=1e-14, atol=1e-14)
 
 
 class TestPsdProject:
