@@ -18,7 +18,7 @@ from .combine import (
     kappa_check,
     standardize,
 )
-from .data import GroupData, GroupedDataset
+from .data import GroupData, GroupedDataset, GroupLayout
 from .ebayes import (
     GroupPosterior,
     PosteriorSet,
@@ -63,6 +63,7 @@ __all__ = [
     "GroupPosterior",
     "GroupSummary",
     "GroupedDataset",
+    "GroupLayout",
     "HierMomentError",
     "LossRecord",
     "MomentFit",

@@ -454,8 +454,8 @@ def _cmd_predict(args) -> int:
                                          family)
         group_ids = dataset.ids
         mu[order] = np.concatenate(mu_g)
-        unseen[order] = np.repeat(unseen_g, dataset.sizes)
-        where[order] = np.repeat(np.arange(len(group_ids)), dataset.sizes)
+        gid = dataset.layout.row_group()
+        where[order], unseen[order] = gid, np.array(unseen_g)[gid]
 
     _write_table(args.out, [group_col, "mu_hat", "unseen_group"], group_ids,
                  where, [mu, unseen])

@@ -51,8 +51,7 @@ class PosteriorSet:
 
     def rows(self, group_ids) -> np.ndarray:
         """Row of each id, -1 for ids without one."""
-        return np.fromiter(map(self._index.get, group_ids, repeat(-1)),
-                           np.intp, len(group_ids))
+        return _id_rows(self._index, group_ids)
 
     @cached_property
     def entries(self) -> tuple[GroupPosterior, ...]:
@@ -61,13 +60,10 @@ class PosteriorSet:
         return tuple(map(GroupPosterior, self.ids, self.means, self.covs))
 
 
-def _grouped_dot(F, sizes, rows, coef) -> np.ndarray:
-    """Row-wise dot of the long design ``F`` with the coefficient of each
-    row's group: the ``sizes[g]`` rows of group g take ``coef[rows[g]]``, or
-    zero where ``rows[g]`` is -1."""
-    # Row -1, the last, is the zero row.
-    padded = np.vstack([coef, np.zeros((1, coef.shape[1]))])
-    return np.einsum("ij,ij->i", F, np.repeat(padded[rows], sizes, axis=0))
+def _id_rows(index: dict, group_ids) -> np.ndarray:
+    """The row ``index[g]`` of each id g of ``group_ids``, -1 if it has none."""
+    return np.fromiter(map(index.get, group_ids, repeat(-1)), np.intp,
+                       len(group_ids))
 
 
 def _posteriors(V1, V2, theta, precision, beta, sigma, phi):
@@ -147,5 +143,5 @@ def predict_grouped(
     """
     where = posteriors.rows(dataset.ids)
     eta = dataset.X @ np.asarray(beta, dtype=float) \
-        + _grouped_dot(dataset.Z, dataset.sizes, where, posteriors.means)
-    return dataset.split(family.inv_link(eta)), (where < 0).tolist()
+        + dataset.layout.row_dot(dataset.Z, posteriors.means, where)
+    return dataset.layout.split(family.inv_link(eta)), (where < 0).tolist()

@@ -1,15 +1,15 @@
 """Response families (gaussian-identity, binomial-logit), the logit GLM fit
 of many groups at once, and the plug-in unscaled precision.
 
-Stacked layout: the rows of M groups lie in one long array in contiguous
-blocks, group i owning rows ``starts[i]:starts[i + 1]``, and every group's
-design is zero-padded to the same k columns, of which its leading
-``ranks[i]`` have full column rank. Per-group sums are segment sums over the
-row blocks, taken in blocks of bounded size, and per-group solves are
-batched calls on ``(M, k, k)`` stacks whose padded block is the identity, so
-padded coefficients stay exactly 0. Each group's result depends on its own
-rows only. A :func:`fit_glm` call without ``starts`` is the one-group case,
-M = 1.
+Stacked layout: the rows of M groups lie in the blocks of one
+:class:`~hiermoment.data.GroupLayout`, and every group's design is
+zero-padded to the same k columns, of which its leading ``ranks[i]`` have
+full column rank. Per-group sums are the layout's ``sums``, and per-group
+solves are batched calls on ``(M, k, k)`` stacks whose padded block is the
+identity, so padded coefficients stay exactly 0. Each group's result depends
+on its own rows only: a fit of ``layout.take(groups)`` gives those groups'
+rows of the full fit bitwise. :func:`fit_glm` without a layout fits one
+group.
 
 Logit groups maximize the Jeffreys-penalized (Firth) likelihood by
 ``_FISHER_PASSES`` quasi-Fisher passes from 0, then exact Newton steps (a
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import GroupLayout
 from .errors import ConvergenceError
 from .linalg import sym
 
@@ -46,7 +47,6 @@ __all__ = [
 _MU_EPS = 1e-10
 _TOL = 1e-8  # convergence threshold on each group's penalized score norm
 _MAX_PASSES = 100  # groups not converged by then have converged False
-_BLOCK_ENTRIES = 1 << 16  # entries of row-wise products held at one time
 _MAX_HALVINGS = 12
 _HALVING_SLACK = 1e-10  # relative round-off allowance of the halving test
 # Quasi-Fisher passes from 0 before exact Newton: they need no second- or
@@ -127,76 +127,10 @@ class GlmFit:
     deviance: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Row blocks and padding of M stacked groups."""
-
-    starts: np.ndarray  # (M,) first row of each group
-    sizes: np.ndarray   # (M,) rows of each group
-    pad: np.ndarray     # (M, k) True in the padded directions
-
-    @classmethod
-    def make(cls, n_rows, k, starts, ranks):
-        starts = np.zeros(1, dtype=np.intp) if starts is None \
-            else np.asarray(starts, dtype=np.intp)
-        ranks = np.full(starts.size, k) if ranks is None else np.asarray(ranks)
-        if starts.size and (starts[0] != 0 or np.any(np.diff(starts) < 1)
-                            or starts[-1] >= n_rows):
-            raise ValueError("group starts must begin at 0 and increase "
-                             "strictly within the rows")
-        return cls(starts, np.diff(starts, append=n_rows),
-                   np.arange(k) >= ranks[:, None])
-
-    def take(self, groups):
-        """The sub-stack of ``groups`` and the row index of their rows."""
-        sizes = self.sizes[groups]
-        ends = np.cumsum(sizes)
-        rows = np.arange(ends[-1] if sizes.size else 0) \
-            + np.repeat(self.starts[groups] - (ends - sizes), sizes)
-        return _Stack(ends - sizes, sizes, self.pad[groups]), rows
-
-    def group_of_row(self):
-        return np.repeat(np.arange(self.sizes.size), self.sizes)
-
-    def linear_predictor(self, F, coef):
-        """Each row's ``f_j . coef[group of j]``, one column at a time so
-        that no (N, k) gather of the coefficients is built."""
-        gid = self.group_of_row()
-        eta = F[:, 0] * coef[gid, 0]
-        for j in range(1, F.shape[1]):
-            eta += F[:, j] * coef[gid, j]
-        return eta
-
-    def padded(self, S):
-        """The (M, k, k) stack ``S`` with the identity in the padded block."""
-        k = self.pad.shape[1]
-        S[:, np.arange(k), np.arange(k)] += self.pad
-        return S
-
-    def sums(self, width, terms):
-        """Per-group sums of row-wise products: ``terms(lo, hi)`` gives the
-        (hi - lo, width) products of rows lo:hi. Rows are taken in blocks of
-        about ``_BLOCK_ENTRIES`` entries; a group longer than a block is
-        summed in pieces counted from its own first row, so each group's
-        sums depend on its own rows only."""
-        block = max(1, _BLOCK_ENTRIES // width)
-        npieces = -(-self.sizes // block)
-        first = np.cumsum(npieces) - npieces
-        piece = np.repeat(self.starts, npieces) + block * (
-            np.arange(npieces.sum()) - np.repeat(first, npieces))
-        n_rows = self.starts[-1] + self.sizes[-1]
-        cuts = np.unique(piece[np.searchsorted(
-            piece, np.arange(0, n_rows, block), side="right") - 1])
-        cuts = np.append(cuts, n_rows)
-        out = np.empty((piece.size, width))
-        p0 = 0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            p1 = np.searchsorted(piece, hi)
-            out[p0:p1] = np.add.reduceat(terms(lo, hi), piece[p0:p1] - lo,
-                                         axis=0)
-            p0 = p1
-        return out if piece.size == self.sizes.size \
-            else np.add.reduceat(out, first, axis=0)
+def _pad(layout, k, ranks):
+    """(M, k) mask, True in each group's padded directions."""
+    ranks = np.full(layout.sizes.size, k) if ranks is None else np.asarray(ranks)
+    return np.arange(k) >= ranks[:, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,7 +173,7 @@ def fit_glm(
     y: np.ndarray,
     F0: np.ndarray,
     family: Family,
-    starts: np.ndarray | None = None,
+    layout: GroupLayout | None = None,
     ranks: np.ndarray | None = None,
 ) -> GlmFit:
     """Fit one binomial-logit coefficient vector per group on
@@ -260,8 +194,8 @@ def fit_glm(
         stacked by rows as described in the module docstring.
     family : Family
         Binomial-logit.
-    starts : ndarray of shape (M,), optional
-        First row of each group. None fits all rows as one group, checks
+    layout : GroupLayout, optional
+        The groups' row blocks. None fits all rows as one group, checks
         that ``F0`` has full column rank, unwraps the result to that group,
         and raises ConvergenceError (carrying the last iterate) if it did
         not converge.
@@ -279,19 +213,20 @@ def fit_glm(
     y = np.asarray(y, dtype=float)
     F0 = np.asarray(F0, dtype=float)
     n, k = F0.shape
-    if y.shape != (n,):
-        raise ValueError(f"response length {y.shape} does not match design rows {n}")
+    if y.shape != (n,) or (layout is not None and layout.offsets[-1] != n):
+        raise ValueError(f"response length {y.shape} or group rows do not "
+                         f"match design rows {n}")
     if k < 1:
         raise ValueError("design has no columns")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(F0))):
         raise ValueError("non-finite values in response or design")
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("binomial-logit response must be 0/1")
-    if starts is None and np.linalg.matrix_rank(F0) < k:
+    if layout is not None:
+        return _firth(y, F0, layout, _pad(layout, k, ranks))
+    if np.linalg.matrix_rank(F0) < k:
         raise ValueError("design is rank deficient; reduce it first")
-    fit = _firth(y, F0, _Stack.make(n, k, starts, ranks))
-    if starts is not None:
-        return fit
+    fit = _firth(y, F0, GroupLayout([0, n]), np.zeros((1, k), dtype=bool))
     one = GlmFit(coef=fit.coef[0], fitted_mean=fit.fitted_mean,
                  converged=bool(fit.converged[0]), iterations=fit.iterations,
                  deviance=float(fit.deviance[0]))
@@ -304,7 +239,7 @@ def fit_glm(
     return one
 
 
-def _information(F, w, stack):
+def _information(F, w, layout, pad):
     """Each group's ``F' diag(w) F``, with the identity in the padded block."""
     k = F.shape[1]
     Ft = np.ascontiguousarray(F.T)
@@ -315,17 +250,19 @@ def _information(F, w, stack):
         out *= w[lo:hi]
         return out.T
 
-    return stack.padded(_unpack(stack.sums(_n_sym(k, 2), terms), k, 2))
+    info = _unpack(layout.sums(_n_sym(k, 2), terms), k, 2)
+    info[:, np.arange(k), np.arange(k)] += pad
+    return info
 
 
-def _penalized(y, F, stack, coef):
+def _penalized(y, F, layout, pad, coef):
     """Mean, working weight, information (identity in the padded block), log
     likelihood and penalized log likelihood of each group at ``coef``."""
-    eta = stack.linear_predictor(F, coef)
+    eta = layout.row_dot(F, coef)
     mu = expit(eta)
     w = np.clip(mu * (1.0 - mu), _MU_EPS, None)
-    info = _information(F, w, stack)
-    ll = np.add.reduceat(y * eta - np.logaddexp(0.0, eta), stack.starts)
+    info = _information(F, w, layout, pad)
+    ll = np.add.reduceat(y * eta - np.logaddexp(0.0, eta), layout.starts)
     return mu, w, info, ll, ll + 0.5 * _logdet_pd(info)
 
 
@@ -349,7 +286,7 @@ def _negative_definite(H):
         return np.linalg.eigvalsh(H)[:, -1] < 0.0
 
 
-def _newton_step(y, F, stack, mu, w, info, exact):
+def _newton_step(y, F, layout, mu, w, info, exact):
     """Penalized score and step of each group: the quasi-Fisher step
     A score, or with ``exact`` the Newton step (a Fisher step where the
     Hessian is not negative definite).
@@ -359,14 +296,14 @@ def _newton_step(y, F, stack, mu, w, info, exact):
     F'(y - mu + h (1/2 - mu)) and the Hessian of the penalized likelihood
     is -I + 1/2 F' diag(h (1 - 6w)) F - 1/2 [tr(A T_a A T_b)]_ab.
     """
-    M, k = stack.pad.shape
+    M, k = info.shape[:2]
     m2, m3 = _n_sym(k, 2), _n_sym(k, 3)
     width = k + m2 + m3 if exact else k + m2
     A = sym(np.linalg.inv(info))
     # h_j = w_j (o2_j . A2), with A2 = A packed, off-diagonals doubled
     pairs = _sym_index(k, 2)[0].T
     A2 = (A[:, pairs[0], pairs[1]] * np.where(pairs[0] == pairs[1], 1.0, 2.0)).T
-    gid = stack.group_of_row()
+    gid = layout.row_group()
     Ft = np.ascontiguousarray(F.T)
 
     def terms(lo, hi):
@@ -380,7 +317,7 @@ def _newton_step(y, F, stack, mu, w, info, exact):
             o2 *= h * (1.0 - 6.0 * wj)
         return out.T
 
-    sums = stack.sums(width, terms)
+    sums = layout.sums(width, terms)
     score = sums[:, :k]
     if not exact:
         return score, (A @ score[:, :, None])[:, :, 0]
@@ -392,16 +329,16 @@ def _newton_step(y, F, stack, mu, w, info, exact):
     return score, np.linalg.solve(neg, score[:, :, None])[:, :, 0]
 
 
-def _firth(y, F, stack):
-    M, k = stack.pad.shape
+def _firth(y, F, layout, pad):
+    M, k = pad.shape
     Ft = np.ascontiguousarray(F.T)  # the row kernels read rows along axis 1
     coef = np.zeros((M, k))
-    mu, w, info, ll, objective = _penalized(y, Ft.T, stack, coef)
+    mu, w, info, ll, objective = _penalized(y, Ft.T, layout, pad, coef)
     converged = np.zeros(M, dtype=bool)
     active = np.arange(M)
     passes = 0
     for passes in range(1, _MAX_PASSES + 1):
-        sub, rows = stack.take(active)
+        sub, rows = layout.take(active)
         score, step = _newton_step(y[rows], Ft.take(rows, 1).T, sub, mu[rows],
                                    w[rows], info[active], passes > _FISHER_PASSES)
         done = np.linalg.norm(score, axis=1) <= _TOL
@@ -414,13 +351,14 @@ def _firth(y, F, stack):
         trial = np.arange(active.size)
         for halving in range(_MAX_HALVINGS + 1):
             groups = active[trial]
-            sub, rows = stack.take(groups)
+            sub, rows = layout.take(groups)
             t_mu, t_w, t_info, t_ll, t_obj = _penalized(
-                y[rows], Ft.take(rows, 1).T, sub, coef[groups] + step[trial])
+                y[rows], Ft.take(rows, 1).T, sub, pad[groups],
+                coef[groups] + step[trial])
             ok = (t_obj >= objective[groups]
                   - _HALVING_SLACK * np.abs(objective[groups]))
             ok |= (halving == _MAX_HALVINGS) & np.isfinite(t_obj)
-            row_ok = np.repeat(ok, sub.sizes)
+            row_ok = ok[sub.row_group()]
             mu[rows[row_ok]], w[rows[row_ok]] = t_mu[row_ok], t_w[row_ok]
             acc = groups[ok]
             coef[acc] += step[trial[ok]]
@@ -433,18 +371,18 @@ def _firth(y, F, stack):
                   iterations=passes, deviance=-2.0 * ll)
 
 
-def unscaled_precision(F0, mu, family: Family, starts, ranks=None):
-    """Plug-in unscaled precision ``F0.T @ diag(lam(mu)) @ F0`` of each group,
-    the rows stacked as for :func:`fit_glm`.
+def unscaled_precision(F0, mu, family: Family, layout: GroupLayout,
+                       ranks=None):
+    """Plug-in unscaled precision ``F0.T @ diag(lam(mu)) @ F0`` of each group
+    of ``layout``, the rows stacked as for :func:`fit_glm`.
 
     For the gaussian family (lam = 1) this is exactly ``F0.T @ F0``. The
     result is the (M, k, k) stack with the identity in each padded block,
     unchecked (see :func:`singular_precision`).
     """
     F0 = np.asarray(F0, dtype=float)
-    n, k = F0.shape
-    return _information(F0, family.variance(mu),
-                        _Stack.make(n, k, starts, ranks))
+    return _information(F0, family.variance(mu), layout,
+                        _pad(layout, F0.shape[1], ranks))
 
 
 def singular_precision(P, ranks) -> dict:

@@ -2,17 +2,17 @@
 
 Each group's raw data (y_i, X_i, Z_i) collapses to an orthonormal basis of the
 identifiable coefficient subspace, a rotated coefficient estimate, and an
-unscaled precision matrix. The groups are read straight from the dataset's
-long columns: one stacked :func:`compact_svd` call (an R-SVD bucketed by
-exact row count, see :mod:`hiermoment.linalg`) reduces every group's
-``[X Z y]`` rows, and a gaussian group's fit and Pearson dispersion are
-closed form in the result. Logit groups are fitted, and their plug-in
-precisions taken, by one call each on all groups stacked (see
-:mod:`hiermoment.families`). There is no loop over groups, and each group's
-result depends on its own rows only. The summaries are written directly
-into zero-padded stacks ordered by group id, so every population sum over
-groups is one array operation; per-group :class:`GroupSummary` views are
-built on demand.
+unscaled precision matrix. Every stage reads the dataset's long columns in
+the blocks of its :class:`~hiermoment.data.GroupLayout`: one stacked
+:func:`compact_svd` call (an R-SVD bucketed by exact row count) reduces
+every group's ``[X Z y]`` rows, and a gaussian group's fit and Pearson
+dispersion are closed form in the result. The logit groups of nonzero rank
+are the layout's ``take``, fitted and given plug-in precisions by one call
+each (see :mod:`hiermoment.families`). No loop runs over groups, and each
+group's result depends on its own rows only. The summaries are written
+straight into zero-padded stacks ordered by group id, so every population
+sum over groups is one array operation; per-group :class:`GroupSummary`
+views are built on demand.
 """
 
 from __future__ import annotations
@@ -169,8 +169,9 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
     fit ``theta = U'y / d`` in its SVD frame, Pearson dispersion
     ``rss / (n - r)`` and precision ``diag(d^2)``, with no row pass. Logit
     groups' rotated designs ``F0 = F V`` (zero-padded to k = p + q columns)
-    are built in one array and fitted together by one Firth-penalized
-    :func:`fit_glm` call, and their plug-in precisions are one stacked call.
+    are built in one array over the layout's ``take`` of those groups and
+    fitted together by one Firth-penalized :func:`fit_glm` call, and their
+    plug-in precisions are one stacked call.
 
     Returns
     -------
@@ -185,14 +186,13 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
         (ConvergenceError) or a numerically singular plug-in precision
         (DegeneratePrecisionError).
     """
-    k, sizes = dataset.p + dataset.q, dataset.sizes
+    k, layout = dataset.p + dataset.q, dataset.layout
     gaussian = family.name == "gaussian"
-    svd = compact_svd((dataset.X, dataset.Z), dataset.y, rank_tol,
-                      starts=dataset.offsets[:-1])
+    svd = compact_svd((dataset.X, dataset.Z), dataset.y, rank_tol, layout)
     kept = np.flatnonzero(svd.r > 0)
     reasons = {i: ZeroRankError("group design is all zero (rank 0)")
                for i in np.flatnonzero(svd.r == 0).tolist()}
-    n, r, d = sizes[kept], svd.r[kept], svd.d[kept]
+    n, r, d = layout.sizes[kept], svd.r[kept], svd.d[kept]
     pad = np.arange(k) >= r[:, None]
     theta, precision = np.zeros((kept.size, k)), np.zeros((kept.size, k, k))
     dispersion = np.full(kept.size, np.nan)
@@ -200,13 +200,11 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
         np.divide(svd.c[kept], d, out=theta, where=~pad)
         np.divide(svd.rss[kept], n - r, out=dispersion, where=n > r)
     elif kept.size:
-        y = dataset.y[np.repeat(svd.r > 0, sizes)] if reasons else dataset.y
-        starts = np.cumsum(n) - n
-        F0 = rotated_design((dataset.X, dataset.Z), svd.V[kept],
-                            dataset.offsets[kept], n)
-        fit = fit_glm(y, F0, family, starts=starts, ranks=r)
+        sub, rows = layout.take(kept)
+        F0 = rotated_design((dataset.X, dataset.Z), svd.V[kept], sub, rows)
+        fit = fit_glm(dataset.y[rows], F0, family, layout=sub, ranks=r)
         theta = np.where(pad, 0.0, fit.coef)
-        P = unscaled_precision(F0, fit.fitted_mean, family, starts, r)
+        P = unscaled_precision(F0, fit.fitted_mean, family, sub, r)
         precision = np.where(pad[:, :, None] | pad[:, None, :], np.eye(k), P)
         for j in np.flatnonzero(~fit.converged).tolist():
             reasons[int(kept[j])] = ConvergenceError(

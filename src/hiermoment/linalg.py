@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import GroupLayout
 from .errors import SingularOmega2Error
 
 __all__ = [
@@ -43,7 +44,7 @@ _SVD_CHUNK = 1 << 16
 
 
 def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
-                starts: np.ndarray | None = None) -> CompactSvd:
+                layout: GroupLayout | None = None) -> CompactSvd:
     """Compact SVD of F keeping only singular values above the rank
     threshold, with the least-squares fit of y in its frame.
 
@@ -57,14 +58,14 @@ def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
         Relative threshold, finite and in [0, 1); a singular value is
         retained when it exceeds ``rank_tol * max(n, k) * sigma_max``.
         Defaults to machine epsilon, the standard numerical-rank convention.
-    starts : ndarray of shape (M,), optional
-        First row of each of M stacked matrices: matrix i is
-        ``F[starts[i]:starts[i + 1]]``, each with its own threshold.
+    layout : GroupLayout, optional
+        The row blocks of M stacked matrices: matrix i is group i's rows of
+        F, with its own threshold. None takes all rows as one matrix.
 
     Returns
     -------
     CompactSvd
-        With ``starts``, stacked: ``d`` and ``c`` (M, k), ``V`` (M, k, k)
+        With ``layout``, stacked: ``d`` and ``c`` (M, k), ``V`` (M, k, k)
         C-contiguous, ``r`` and ``rss`` (M,).
 
     One Householder QR of ``[F y]`` gives ``R = [[A, b], [0, e]]``, and the
@@ -79,20 +80,18 @@ def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
               for b in (F if isinstance(F, tuple) else (F,))]
     y = np.asarray(y, dtype=float)
     N, k = y.shape[0] if y.ndim == 1 else 0, sum(b.shape[-1] for b in blocks)
-    if N < 1 or k < 1 or any(b.ndim != 2 or len(b) != N for b in blocks):
-        raise ValueError(f"expected nonempty 2-D blocks and a response of their"
-                         f" rows, got shapes {[b.shape for b in blocks]}, {y.shape}")
+    one = layout is None
+    n = N if one else layout.offsets[-1]
+    if N < 1 or k < 1 or n != N or any(b.ndim != 2 or len(b) != N for b in blocks):
+        raise ValueError(f"expected nonempty 2-D blocks and a response of {n} "
+                         f"rows, got shapes {[b.shape for b in blocks]}, {y.shape}")
     if not all(np.isfinite(b).all() for b in blocks + [y]):
         raise ValueError("matrix or response has non-finite entries")
     rank_tol = float(np.finfo(float).eps if rank_tol is None else rank_tol)
     if not 0.0 <= rank_tol < 1.0:
         raise ValueError(f"rank_tol must be finite and in [0, 1), got {rank_tol}")
-    first = np.zeros(1, dtype=np.intp) if starts is None \
-        else np.asarray(starts, dtype=np.intp)
-    sizes = np.diff(first, append=N)
-    if first[0] != 0 or np.any(sizes < 1):
-        raise ValueError("starts must begin at 0 and increase strictly "
-                         "within the rows")
+    layout = GroupLayout([0, N]) if one else layout
+    first, sizes = layout.starts, layout.sizes
     M, blocks = first.size, blocks + [y[:, None]]
     # Each matrix's R = [[A, b], [0, e]] is kept in V, c and rss: A with
     # zero rows below its min(n, k), so r is capped at n below.
@@ -127,27 +126,25 @@ def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
     d = np.where(keep, d, 0.0)
     c = np.where(keep, np.where(flip, -c, c), 0.0)
     V = np.where(keep[:, None], np.where(flip[:, None], -V, V), 0.0)
-    if starts is not None:
+    if not one:
         return CompactSvd(d=d, V=V, r=r, c=c, rss=rss)
     m = int(r[0])
     return CompactSvd(d=d[0, :m], V=V[0, :, :m], r=m, c=c[0, :m],
                       rss=float(rss[0]))
 
 
-def rotated_design(blocks, V, starts, sizes) -> np.ndarray:
-    """The designs ``[blocks] @ V[i]`` of the groups with rows
-    ``starts[i]:starts[i] + sizes[i]`` of the column ``blocks`` side by
-    side, stacked in one new array with contiguous columns (Fortran order),
+def rotated_design(blocks, V, layout: GroupLayout, rows) -> np.ndarray:
+    """The designs ``[blocks] @ V[i]`` of the groups of ``layout``, whose
+    rows are ``rows`` of the ``blocks`` side by side (``GroupLayout.take``
+    gives both), in one new array with contiguous columns (Fortran order),
     as :mod:`hiermoment.families` reads them. Each row is multiplied by its
     group's V, ``_SVD_CHUNK`` entries of gathered V at a time."""
-    ends = np.cumsum(sizes)
-    shift, step = starts - (ends - sizes), max(1, _SVD_CHUNK // V[0].size)
-    out = np.empty((V.shape[2], int(ends[-1]))).T
-    for lo in range(0, len(out), step):
-        rows = np.arange(lo, min(lo + step, len(out)))
-        g = np.searchsorted(ends, rows, side="right")
-        F = np.concatenate([b[rows + shift[g]] for b in blocks], axis=1)
-        out[lo:lo + rows.size] = np.einsum("nj,njl->nl", F, V[g])
+    gid, step = layout.row_group(), max(1, _SVD_CHUNK // V[0].size)
+    out = np.empty((V.shape[2], rows.size)).T
+    for lo in range(0, rows.size, step):
+        src, g = rows[lo:lo + step], gid[lo:lo + step]
+        F = np.concatenate([b[src] for b in blocks], axis=1)
+        out[lo:lo + src.size] = np.einsum("nj,njl->nl", F, V[g])
     return out
 
 

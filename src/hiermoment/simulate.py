@@ -7,13 +7,12 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
 from .combine import FitOptions, MomentFit, fit_moment
-from .data import GroupedDataset
-from .ebayes import _grouped_dot, posterior_set, predict_grouped
+from .data import GroupedDataset, GroupLayout
+from .ebayes import _id_rows, posterior_set, predict_grouped
 from .errors import HierMomentError
 from .families import Family, expit, fit_glm
 from .linalg import compact_svd, rotated_design
@@ -221,10 +220,10 @@ def gen_replicate(
             mu_i = mu[start:stop]
             mu_i[...] = expit(X_i @ beta + Z_i @ u[i])
             y[start:stop] = pop_rng.random(n) < mu_i
-    offsets = np.concatenate([[0], np.cumsum(n_alloc[n_alloc > 0])])
+    layout = GroupLayout(np.append(0, np.cumsum(n_alloc[n_alloc > 0])))
     dataset = GroupedDataset._from_columns(
-        y, X, Z, tuple(np.flatnonzero(n_alloc).tolist()), offsets, p, q)
-    truth = SimTruth(beta=beta, Sigma=Sigma, u=u, mu=tuple(dataset.split(mu)),
+        y, X, Z, tuple(np.flatnonzero(n_alloc).tolist()), layout, p, q)
+    truth = SimTruth(beta=beta, Sigma=Sigma, u=u, mu=tuple(layout.split(mu)),
                      n_alloc=n_alloc)
     return dataset, truth
 
@@ -305,7 +304,7 @@ def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
         theta = svd.c / svd.d
     else:
         F0 = rotated_design((dataset.X, dataset.Z), svd.V[None],
-                            np.zeros(1, np.intp), np.array([dataset.n_obs]))
+                            *GroupLayout([0, dataset.n_obs]).take([0]))
         theta = fit_glm(dataset.y, F0, family).coef
     return GlobalFit(coef=svd.V @ theta)
 
@@ -322,11 +321,9 @@ class LocalFit:
     def predict(self, dataset: GroupedDataset, family: Family) -> np.ndarray:
         """Predicted means over the long rows of ``dataset``; a group
         without a coefficient predicts through zero."""
-        index = dict(zip(self.ids, range(len(self.ids))))
-        rows = np.fromiter(map(index.get, dataset.ids, repeat(-1)), np.intp,
-                           dataset.n_groups)
-        return family.inv_link(_grouped_dot(
-            np.hstack([dataset.X, dataset.Z]), dataset.sizes, rows, self.coef))
+        rows = _id_rows(dict(zip(self.ids, range(len(self.ids)))), dataset.ids)
+        return family.inv_link(dataset.layout.row_dot(
+            np.hstack([dataset.X, dataset.Z]), self.coef, rows))
 
 
 def fit_local(fit: MomentFit) -> LocalFit:
@@ -441,7 +438,7 @@ def run_study(
                             elapsed = time.perf_counter() - t0
                             fixed, mu_hat = nan, lfit.predict(dataset, family)
                         rec = LossRecord(fixed, nan, nan, _pred_loss(
-                            truth, dataset.split(mu_hat), family), elapsed)
+                            truth, dataset.layout.split(mu_hat), family), elapsed)
                 except HierMomentError:
                     fail[method] += 1
                     continue

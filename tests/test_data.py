@@ -1,5 +1,5 @@
-"""Dataset layout checks: the long columns, the group offsets and ids, the
-on-demand GroupData views, and the bulk input checks."""
+"""Dataset layout checks: the group row layout, the long columns, the group
+ids, the on-demand GroupData views, and the bulk input checks."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from hiermoment.data import GroupData, GroupedDataset
+from hiermoment import data
+from hiermoment.data import GroupData, GroupedDataset, GroupLayout
 
 
 def _blocks(rng):
@@ -19,6 +20,82 @@ def _blocks(rng):
         blocks.append(GroupData(gid, rng.normal(size=n), rng.normal(size=(n, 2)),
                                 rng.normal(size=(n, 3))))
     return blocks
+
+
+class TestGroupLayout:
+    @pytest.mark.parametrize("offsets", [[1, 3, 5], [0, 2, 2, 5], [0, 3, 1],
+                                         [], 0, [[0, 2], [2, 4]]],
+                             ids=["nonzero_start", "empty_group", "decreasing",
+                                  "no_offsets", "scalar", "two_dims"])
+    def test_bad_offsets_refused(self, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            GroupLayout(offsets)
+
+    def test_sizes_starts_row_group_split(self):
+        layout = GroupLayout([0, 2, 3, 7])
+        assert layout.sizes.tolist() == [2, 1, 4]
+        assert layout.starts.tolist() == [0, 2, 3]
+        assert layout.row_group().tolist() == [0, 0, 1, 2, 2, 2, 2]
+        values = np.arange(7.0) * 10
+        parts = layout.split(values)
+        assert [v.tolist() for v in parts] == [[0, 10], [20], [30, 40, 50, 60]]
+        assert all(np.shares_memory(v, values) for v in parts)
+        assert GroupLayout([0]).row_group().size == 0
+
+    def test_take_packs_a_permuted_subset(self):
+        rng = np.random.default_rng(17)
+        layout = GroupLayout(np.append(0, np.cumsum(rng.integers(1, 9, 30))))
+        groups = rng.permutation(30)[:12]
+        sub, rows = layout.take(groups)
+        assert sub.sizes.tolist() == layout.sizes[groups].tolist()
+        want = np.concatenate([np.arange(layout.offsets[g],
+                                         layout.offsets[g + 1])
+                               for g in groups])
+        assert rows.tolist() == want.tolist()
+        # each packed group's rows come from the group it was taken from
+        assert np.array_equal(layout.row_group()[rows], groups[sub.row_group()])
+        empty, none = layout.take(np.array([], dtype=np.intp))
+        assert empty.offsets.tolist() == [0] and none.size == 0
+
+    def test_sums_of_a_long_group_do_not_depend_on_its_neighbours(self):
+        """A group longer than one block of ``sums`` is summed in pieces
+        counted from its own first row: bitwise the same sums in a layout
+        of that group alone."""
+        rng = np.random.default_rng(19)
+        width = 5
+        block = data._BLOCK_ENTRIES // width
+        sizes = np.array([7, 3 * block + 11, block - 1, 2 * block, 1])
+        layout = GroupLayout(np.append(0, np.cumsum(sizes)))
+        v = rng.normal(size=(sizes.sum(), width)) * 10.0 ** rng.integers(
+            -8, 8, size=(sizes.sum(), 1))
+
+        def terms_of(values):
+            return lambda lo, hi: values[lo:hi] ** 2
+
+        full = layout.sums(width, terms_of(v))
+        ref = [values.sum(0) for values in layout.split(v ** 2)]
+        np.testing.assert_allclose(full, ref, rtol=1e-12)
+        for g in range(sizes.size):
+            one, rows = layout.take([g])
+            alone = one.sums(width, terms_of(v[rows]))
+            assert np.array_equal(alone[0], full[g])
+
+    def test_row_dot(self):
+        """Each row takes its group's coefficients, or those of the row
+        that ``where`` names; where = -1 gives exactly 0."""
+        rng = np.random.default_rng(23)
+        layout = GroupLayout([0, 3, 4, 9])
+        F = rng.normal(size=(9, 4))
+        coef = rng.normal(size=(5, 4))
+        gid = layout.row_group()
+        np.testing.assert_allclose(layout.row_dot(F, coef[:3]),
+                                   np.sum(F * coef[gid], axis=1), rtol=1e-14)
+        where = np.array([4, -1, 0])
+        eta = layout.row_dot(F, coef, where)
+        np.testing.assert_allclose(eta[:3], F[:3] @ coef[4], rtol=1e-14)
+        assert np.all(eta[3] == 0.0)
+        np.testing.assert_allclose(eta[4:], F[4:] @ coef[0], rtol=1e-14)
+        assert np.all(layout.row_dot(F, coef[:0], np.full(3, -1)) == 0.0)
 
 
 class TestLayout:
@@ -39,8 +116,9 @@ class TestLayout:
         assert np.array_equal(ids[mix], labels)
         a = GroupedDataset.from_long(y[mix], X[mix], Z[mix], ids[mix])
         b = GroupedDataset(blocks, p=2, q=3)
-        for name in ("y", "X", "Z", "offsets"):
+        for name in ("y", "X", "Z"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.layout.offsets, b.layout.offsets)
         assert a.ids == b.ids == tuple(range(6))
         assert (a.p, a.q, a.n_groups, a.n_obs) == (b.p, b.q, 6, ids.size)
         for ga, gb, g in zip(a.groups, b.groups, blocks):
@@ -66,7 +144,7 @@ class TestLayout:
         assert ds.ids == ("a", "b")
         assert isinstance(ds.ids[0], str)
         assert np.array_equal(ds.y, [2.0, 4.0, 1.0, 3.0])
-        assert np.array_equal(ds.offsets, [0, 2, 4])
+        assert np.array_equal(ds.layout.offsets, [0, 2, 4])
 
 
 class TestChecks:

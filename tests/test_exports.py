@@ -15,7 +15,7 @@ MODULES = ["hiermoment"] + [
     f"hiermoment.{m.name}" for m in pkgutil.iter_modules(hiermoment.__path__)]
 
 REMOVED = ("predict_mean", "misclass_by_group_size", "summarize_group",
-           "_least_squares", "_LOOP_KEYS")
+           "_least_squares", "_LOOP_KEYS", "_Stack", "_grouped_dot")
 
 
 @pytest.mark.parametrize("name", MODULES)

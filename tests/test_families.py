@@ -16,8 +16,9 @@ import pytest
 import scipy.optimize
 from scipy.special import expit
 
-from hiermoment import families, groups
+from hiermoment import data, families, groups
 from hiermoment.combine import fit_moment
+from hiermoment.data import GroupLayout
 from hiermoment.families import (
     BINOMIAL_LOGIT,
     GAUSSIAN,
@@ -142,7 +143,7 @@ class TestGaussianFit:
         with pytest.raises(ValueError, match="closed form"):
             fit_glm(y, F0, GAUSSIAN)
         with pytest.raises(ValueError, match="closed form"):
-            fit_glm(y, F0, GAUSSIAN, starts=np.array([0]))
+            fit_glm(y, F0, GAUSSIAN, layout=GroupLayout([0, 3]))
 
 
 class TestLogisticFit:
@@ -201,12 +202,12 @@ class TestFirthFit:
         k = 4
         sizes = np.array([F.shape[0] for F, _ in cases])
         ranks = np.array([F.shape[1] for F, _ in cases])
-        starts = np.cumsum(sizes) - sizes
+        layout = GroupLayout(np.append(0, np.cumsum(sizes)))
         F0 = np.zeros((sizes.sum(), k))
-        for lo, (F, _) in zip(starts, cases):
+        for lo, (F, _) in zip(layout.starts, cases):
             F0[lo:lo + F.shape[0], :F.shape[1]] = F
         y = np.concatenate([v for _, v in cases])
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT, starts=starts, ranks=ranks)
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, ranks=ranks)
         assert fit.converged.all()
         for i, (F, v) in enumerate(cases):
             r = F.shape[1]
@@ -278,18 +279,18 @@ class TestFirthFit:
         before the Fisher warm-up)."""
         calls = []
 
-        def spy(y, F0, family, starts=None, ranks=None, **kw):
-            fit = fit_glm(y, F0, family, starts=starts, ranks=ranks, **kw)
-            calls.append((y, F0, starts, ranks, fit))
+        def spy(y, F0, family, layout=None, ranks=None, **kw):
+            fit = fit_glm(y, F0, family, layout=layout, ranks=ranks, **kw)
+            calls.append((y, F0, layout, ranks, fit))
             return fit
 
         monkeypatch.setattr(groups, "fit_glm", spy)
         ds, _ = gen_replicate(600, 12000, 3, 3, BINOMIAL_LOGIT, seed=1)
         fit_moment(ds, BINOMIAL_LOGIT)
-        (y, F0, starts, ranks, fit), = calls
+        (y, F0, layout, ranks, fit), = calls
         assert fit.converged.all()
         assert fit.iterations <= 10
-        for lo, hi, r, coef in zip(starts, np.append(starts[1:], y.size),
+        for lo, hi, r, coef in zip(layout.offsets[:-1], layout.offsets[1:],
                                    ranks, fit.coef):
             F, v = F0[lo:hi, :r], y[lo:hi]
             mu = expit(F @ coef[:r])
@@ -297,6 +298,50 @@ class TestFirthFit:
             h = np.einsum("ij,ji->i", F * W[:, None],
                           np.linalg.solve(F.T @ (F * W[:, None]), F.T))
             assert np.linalg.norm(F.T @ (v - mu + h * (0.5 - mu))) <= 1e-8
+
+
+class TestChunkInvariance:
+    """Each group's Firth fit depends on its own rows only, so the stacked
+    fit of any subset of the groups, ``layout.take(groups)`` in any order,
+    gives those groups' rows of the full fit bitwise."""
+
+    @staticmethod
+    def _stack(monkeypatch, M, N, seed):
+        calls = []
+
+        def spy(y, F0, family, layout=None, ranks=None):
+            fit = fit_glm(y, F0, family, layout=layout, ranks=ranks)
+            calls.append((y, F0, layout, ranks, fit))
+            return fit
+
+        monkeypatch.setattr(groups, "fit_glm", spy)
+        ds, _ = gen_replicate(M, N, 3, 3, BINOMIAL_LOGIT, seed=seed)
+        groups.summarize_groups(ds, BINOMIAL_LOGIT)
+        (stack,) = calls
+        return stack
+
+    @pytest.mark.parametrize("M, N, seed, long", [
+        (600, 12000, 5, False), (60, 60000, 6, True)],
+        ids=["small_groups", "groups_over_one_block"])
+    def test_subsets_match_the_full_fit(self, monkeypatch, M, N, seed, long):
+        y, F0, layout, ranks, fit = self._stack(monkeypatch, M, N, seed)
+        # rows of one block of the widest (exact Newton) sums
+        k = F0.shape[1]
+        block = data._BLOCK_ENTRIES // (k + math.comb(k + 1, 2)
+                                        + math.comb(k + 2, 3))
+        assert (layout.sizes > block).any() == long
+        assert fit.converged.all()
+        rng = np.random.default_rng(seed)
+        M = layout.sizes.size
+        subsets = [rng.permutation(M)[:size]
+                   for size in (1, M // 7, M // 2, M - 1)]
+        subsets += [np.sort(subsets[2]), rng.permutation(M)]
+        for g in subsets:
+            sub, rows = layout.take(g)
+            part = fit_glm(y[rows], F0[rows], BINOMIAL_LOGIT, layout=sub,
+                           ranks=ranks[g])
+            assert np.array_equal(part.coef, fit.coef[g])
+            assert np.array_equal(part.converged, fit.converged[g])
 
 
 class TestSmallMatrixPaths:
@@ -321,9 +366,10 @@ class TestSmallMatrixPaths:
         F = rng.normal(size=(12, 2))
         F[4:7, 1] = 0.0
         y = (rng.random(12) < 0.5).astype(float)
-        stack = families._Stack.make(12, 2, np.array([0, 4, 7]), None)
+        layout = GroupLayout([0, 4, 7, 12])
         coef = np.array([[0.2, -0.1], [0.3, 0.5], [-0.4, 0.2]])
-        mu, w, info, ll, objective = families._penalized(y, F, stack, coef)
+        mu, w, info, ll, objective = families._penalized(
+            y, F, layout, np.zeros((3, 2), dtype=bool), coef)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(info)
         assert objective[1] == -np.inf
@@ -372,26 +418,27 @@ class TestSmallMatrixPaths:
 
 
 class TestUnscaledPrecision:
-    """One-group checks of the stacked precision, ``starts=[0]``."""
+    """One-group checks of the stacked precision."""
 
     def test_gaussian_is_gram_matrix(self):
         rng = np.random.default_rng(19)
         F0 = rng.normal(size=(8, 3))
-        P = unscaled_precision(F0, np.zeros(8), GAUSSIAN, [0])
+        P = unscaled_precision(F0, np.zeros(8), GAUSSIAN, GroupLayout([0, 8]))
         np.testing.assert_allclose(P, [F0.T @ F0], rtol=1e-12)
 
     def test_binomial_weights(self):
         F0 = np.array([[1.0], [2.0]])
         mu = np.array([0.5, 0.2])
         # 1*0.25*1 + 2*0.16*2
-        P = unscaled_precision(F0, mu, BINOMIAL_LOGIT, [0])
+        P = unscaled_precision(F0, mu, BINOMIAL_LOGIT, GroupLayout([0, 2]))
         np.testing.assert_allclose(P, [[[0.25 + 0.64]]], rtol=1e-12)
 
     def test_degenerate_raises(self):
         """A singular plug-in precision is reported by singular_precision,
         with its reason, at its position in the stack."""
         F0 = np.ones((3, 2))
-        P = unscaled_precision(F0, np.full(3, 0.5), BINOMIAL_LOGIT, [0])
+        P = unscaled_precision(F0, np.full(3, 0.5), BINOMIAL_LOGIT,
+                               GroupLayout([0, 3]))
         problems = singular_precision(P, [2])
         assert list(problems) == [0]
         assert "numerically singular" in problems[0]

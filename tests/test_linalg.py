@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from hiermoment.data import GroupLayout
 from hiermoment.errors import SingularOmega2Error
 from hiermoment.linalg import (
     SymBasis,
@@ -176,12 +177,12 @@ class TestCompactSvd:
         order = rng.permutation(len(blocks))
         blocks = [blocks[i] for i in order]
         sizes = np.array([b.shape[0] for b in blocks])
-        starts = np.cumsum(sizes) - sizes
+        layout = GroupLayout(np.append(0, np.cumsum(sizes)))
         y = rng.normal(size=sizes.sum())
-        st = compact_svd(np.vstack(blocks), y, starts=starts)
+        st = compact_svd(np.vstack(blocks), y, layout=layout)
         assert sorted(st.r[np.argsort(order)][:8]) == [0, 1, 1, 3, 3, 4, 4, 4]
         assert st.V.flags.c_contiguous
-        for i, (b, lo) in enumerate(zip(blocks, starts)):
+        for i, (b, lo) in enumerate(zip(blocks, layout.starts)):
             one = compact_svd(b, y[lo:lo + b.shape[0]])
             r = one.r
             assert st.r[i] == r
@@ -203,7 +204,7 @@ class TestCompactSvd:
               for n in rng.integers(1, 61, size=3000)]
         sizes = np.array([len(F) for F in Fs])
         svd = compact_svd(np.vstack(Fs), rng.normal(size=sizes.sum()),
-                          starts=np.cumsum(sizes) - sizes)
+                          layout=GroupLayout(np.append(0, np.cumsum(sizes))))
         ref = [_ref_rank(F) for F in Fs]
         assert svd.r.tolist() == ref
         assert 0 < min(ref) and min(ref) < max(ref)
@@ -220,8 +221,8 @@ class TestCompactSvd:
         ys = [F @ rng.normal(size=F.shape[1]) + noise * rng.normal(size=len(F))
               for F in Fs]
         sizes = np.array([len(F) for F in Fs])
-        starts = np.cumsum(sizes) - sizes
-        svd = compact_svd(np.vstack(Fs), np.concatenate(ys), starts=starts)
+        svd = compact_svd(np.vstack(Fs), np.concatenate(ys),
+                          layout=GroupLayout(np.append(0, np.cumsum(sizes))))
         eps = np.finfo(float).eps
         for i, (F, y) in enumerate(zip(Fs, ys)):
             r, ynorm = svd.r[i], np.linalg.norm(y)
@@ -257,11 +258,12 @@ class TestRotatedDesign:
     def test_each_group_times_its_v(self):
         rng = np.random.default_rng(109)
         sizes = np.array([3, 1, 3, 20000, 2])
-        starts = np.cumsum(sizes) - sizes
+        layout = GroupLayout(np.append(0, np.cumsum(sizes)))
+        starts = layout.starts
         X, Z = rng.normal(size=(sizes.sum(), 2)), rng.normal(size=(sizes.sum(), 3))
         V = rng.normal(size=(sizes.size, 5, 5))
         keep = np.array([0, 2, 3, 4])
-        F0 = rotated_design((X, Z), V[keep], starts[keep], sizes[keep])
+        F0 = rotated_design((X, Z), V[keep], *layout.take(keep))
         assert F0.shape == (sizes[keep].sum(), 5) and F0.flags.f_contiguous
         ref = np.vstack([np.hstack([X, Z])[starts[i]:starts[i] + sizes[i]]
                          @ V[i] for i in keep])

@@ -176,9 +176,10 @@ class TestReplicateStreams:
     def test_matches_per_group_reference(self, M, N, p, q, seed, family):
         ds, truth = gen_replicate(M, N, p, q, family, seed=seed)
         ref_ds, ref = _reference_replicate(M, N, p, q, family, seed)
-        for name in ("y", "X", "Z", "offsets"):
+        for name in ("y", "X", "Z"):
             assert np.array_equal(getattr(ds, name), getattr(ref_ds, name))
-        assert ds.offsets.dtype == ref_ds.offsets.dtype
+        assert np.array_equal(ds.layout.offsets, ref_ds.layout.offsets)
+        assert ds.layout.offsets.dtype == ref_ds.layout.offsets.dtype
         assert ds.ids == ref_ds.ids
         for name in ("u", "beta", "Sigma", "n_alloc"):
             assert np.array_equal(getattr(truth, name), getattr(ref, name))
@@ -440,7 +441,7 @@ class TestBaselines:
         lfit = fit_local(fit_moment(ds, GAUSSIAN))
         assert lfit.failed == (zero,)
         assert lfit.ids == tuple(i for i in ds0.ids if i != zero)
-        mu = ds.split(lfit.predict(ds, GAUSSIAN))
+        mu = ds.layout.split(lfit.predict(ds, GAUSSIAN))
         for g, m in zip(ds.groups, mu):
             if g.group_id == zero:
                 assert np.array_equal(m, GAUSSIAN.inv_link(np.zeros(g.n)))
@@ -583,9 +584,9 @@ class TestEndToEnd:
         rec = losses(truth, fit, post, GAUSSIAN, ds)
 
         gfit = fit_global(ds, GAUSSIAN)
-        mu_g = ds.split(gfit.predict(ds.X, ds.Z, GAUSSIAN))
+        mu_g = ds.layout.split(gfit.predict(ds.X, ds.Z, GAUSSIAN))
         lfit = fit_local(fit)
-        mu_l = ds.split(lfit.predict(ds, GAUSSIAN))
+        mu_l = ds.layout.split(lfit.predict(ds, GAUSSIAN))
         pred_g = _pred_loss(truth, mu_g, GAUSSIAN)
         pred_l = _pred_loss(truth, mu_l, GAUSSIAN)
         assert rec.pred_loss < pred_g
