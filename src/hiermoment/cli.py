@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--family", choices=["gaussian", "logit"], default="gaussian")
     fit.add_argument("--weights", choices=SCHEMES, default="semiweighted")
     fit.add_argument("--refits", type=int, default=1, metavar="K")
-    fit.add_argument("--rank-tol", type=float, default=None)
     fit.add_argument("--no-intercept", action="store_true",
                      help="do not auto-add an intercept column to X and Z")
     fit.add_argument("--out", required=True, help="fit artifact path")
@@ -399,9 +398,7 @@ def _read_dataset(args):
 def _cmd_fit(args) -> int:
     family = get_family(args.family)
     dataset, fixed_names, random_names = _read_dataset(args)
-    options = FitOptions(
-        scheme=args.weights, refits=args.refits, rank_tol=args.rank_tol
-    )
+    options = FitOptions(scheme=args.weights, refits=args.refits)
     fit = fit_moment(dataset, family, options)
     _write_fit_artifact(args.out, args, fit, fixed_names, random_names)
     if args.posteriors_out:

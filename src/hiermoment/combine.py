@@ -59,6 +59,11 @@ class WeightSpec:
     scheme: str
     sigma0: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown weight scheme {self.scheme!r}; "
+                             "expected one of " + ", ".join(SCHEMES))
+
     @classmethod
     def unweighted(cls) -> "WeightSpec":
         return cls(scheme="unweighted")
@@ -96,8 +101,6 @@ def make_weights(summary_set: SummarySet, spec: WeightSpec) -> np.ndarray:
                        (len(summary_set.ids), 1, 1))
     if spec.scheme == "weighted":
         return summary_set.precision.copy()
-    if spec.scheme != "semiweighted":
-        raise ValueError(f"unknown weight scheme {spec.scheme!r}")
     V2 = summary_set.V2
     # One expression, so no more than two (M, k, k) arrays are alive at once.
     return sym(np.linalg.inv(sym(
@@ -164,14 +167,12 @@ def shat(
     summary_set: SummarySet,
     weights: np.ndarray,
     b: np.ndarray,
-    operator: SymKronOperator | None = None,
+    operator: SymKronOperator,
 ) -> np.ndarray:
     """Pre-correction covariance statistic at center ``b``: the symmetric
     solve of the Gram operator against ``ahat(b)``. Its expectation at the
     true fixed effects is the random-effect covariance plus dispersion times
     the bias matrix."""
-    if operator is None:
-        operator, _ = omega2_and_bias(summary_set, weights)
     return operator.solve(ahat(summary_set, weights, b), eps_sing=EPS_SING)
 
 
@@ -180,16 +181,15 @@ def sigma_hat(
     weights: np.ndarray,
     beta: np.ndarray,
     phi: float,
-    operator: SymKronOperator | None = None,
-    bias: np.ndarray | None = None,
+    operator: SymKronOperator,
+    bias: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Bias-corrected random-effect covariance estimate.
+    """Bias-corrected random-effect covariance estimate, from the
+    ``(operator, B)`` of :func:`omega2_and_bias`.
 
     Returns ``(sigma_raw, sigma, projected)``: the raw moment estimate,
     its projection onto the PSD cone, and whether projection changed it.
     """
-    if operator is None or bias is None:
-        operator, bias = omega2_and_bias(summary_set, weights)
     S = shat(summary_set, weights, beta, operator=operator)
     sigma_raw = sym(S - phi * bias)
     sigma = psd_project(sigma_raw)
@@ -248,20 +248,13 @@ class FitOptions:
         ``refits`` passes with the estimated covariance), "unweighted", or
         "weighted" (single pass each).
     refits: number of semi-weighted refits after the initial pass, >= 0.
-    rank_tol: relative SVD rank threshold for group designs, in [0, 1)
-        (see :func:`hiermoment.linalg.compact_svd`, which checks it).
     """
 
     scheme: str = "semiweighted"
     refits: int = 1
-    rank_tol: float | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; expected one of "
-                + ", ".join(SCHEMES)
-            )
+        WeightSpec(self.scheme)  # raises on an unknown scheme
         if self.refits < 0:
             raise ValueError(f"refits must be >= 0, got {self.refits}")
 
@@ -306,7 +299,7 @@ def fit_moment(
     """
     opts = options or FitOptions()
     scaled, record = standardize(dataset)
-    sset = build_summary_set(scaled, family, rank_tol=opts.rank_tol)
+    sset = build_summary_set(scaled, family)
     phi = sset.pooled_dispersion
 
     if opts.scheme == "semiweighted":
@@ -399,6 +392,4 @@ def kappa_bound(
     if spec.scheme == "weighted":
         worst = _largest_norm(summary_set.precision, summary_set.r)
         return float(sig_norm * worst + phi)
-    if spec.scheme != "semiweighted":
-        raise ValueError(f"unknown weight scheme {spec.scheme!r}")
     return float(np.linalg.norm(np.linalg.solve(spec.sigma0, sigma), 2) + phi)

@@ -96,7 +96,6 @@ BINOMIAL_LOGIT = Family(name="binomial-logit", dispersion_known=True, dispersion
 _FAMILIES = {
     "gaussian": GAUSSIAN,
     "logit": BINOMIAL_LOGIT,
-    "binomial-logit": BINOMIAL_LOGIT,
 }
 
 
@@ -106,25 +105,23 @@ def get_family(name: str) -> Family:
         return _FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; expected one of "
-                         f"{sorted(set(_FAMILIES))}") from None
+                         f"{sorted(_FAMILIES)}") from None
 
 
 @dataclass(frozen=True)
 class GlmFit:
     """Result of a GLM fit.
 
-    For one group, ``coef`` has shape (r,), ``converged`` is a bool and
-    ``deviance`` a float. For a stacked fit of M groups they have shapes
-    (M, k), (M,) and (M,). ``fitted_mean`` is per row, and ``iterations``
-    counts the passes over the stack (the score evaluations of the slowest
-    group).
+    For one group, ``coef`` has shape (r,) and ``converged`` is a bool. For
+    a stacked fit of M groups they have shapes (M, k) and (M,).
+    ``fitted_mean`` is per row, and ``iterations`` counts the passes over
+    the stack (the score evaluations of the slowest group).
     """
 
     coef: np.ndarray
     fitted_mean: np.ndarray
     converged: bool | np.ndarray
     iterations: int
-    deviance: float | np.ndarray
 
 
 def _pad(layout, k, ranks):
@@ -228,8 +225,7 @@ def fit_glm(
         raise ValueError("design is rank deficient; reduce it first")
     fit = _firth(y, F0, GroupLayout([0, n]), np.zeros((1, k), dtype=bool))
     one = GlmFit(coef=fit.coef[0], fitted_mean=fit.fitted_mean,
-                 converged=bool(fit.converged[0]), iterations=fit.iterations,
-                 deviance=float(fit.deviance[0]))
+                 converged=bool(fit.converged[0]), iterations=fit.iterations)
     if not one.converged:
         raise ConvergenceError(
             f"fit did not reach score norm {_TOL:g} in {_MAX_PASSES} "
@@ -256,14 +252,14 @@ def _information(F, w, layout, pad):
 
 
 def _penalized(y, F, layout, pad, coef):
-    """Mean, working weight, information (identity in the padded block), log
-    likelihood and penalized log likelihood of each group at ``coef``."""
+    """Mean, working weight, information (identity in the padded block) and
+    penalized log likelihood of each group at ``coef``."""
     eta = layout.row_dot(F, coef)
     mu = expit(eta)
     w = np.clip(mu * (1.0 - mu), _MU_EPS, None)
     info = _information(F, w, layout, pad)
     ll = np.add.reduceat(y * eta - np.logaddexp(0.0, eta), layout.starts)
-    return mu, w, info, ll, ll + 0.5 * _logdet_pd(info)
+    return mu, w, info, ll + 0.5 * _logdet_pd(info)
 
 
 def _logdet_pd(S):
@@ -333,7 +329,7 @@ def _firth(y, F, layout, pad):
     M, k = pad.shape
     Ft = np.ascontiguousarray(F.T)  # the row kernels read rows along axis 1
     coef = np.zeros((M, k))
-    mu, w, info, ll, objective = _penalized(y, Ft.T, layout, pad, coef)
+    mu, w, info, objective = _penalized(y, Ft.T, layout, pad, coef)
     converged = np.zeros(M, dtype=bool)
     active = np.arange(M)
     passes = 0
@@ -352,7 +348,7 @@ def _firth(y, F, layout, pad):
         for halving in range(_MAX_HALVINGS + 1):
             groups = active[trial]
             sub, rows = layout.take(groups)
-            t_mu, t_w, t_info, t_ll, t_obj = _penalized(
+            t_mu, t_w, t_info, t_obj = _penalized(
                 y[rows], Ft.take(rows, 1).T, sub, pad[groups],
                 coef[groups] + step[trial])
             ok = (t_obj >= objective[groups]
@@ -362,13 +358,13 @@ def _firth(y, F, layout, pad):
             mu[rows[row_ok]], w[rows[row_ok]] = t_mu[row_ok], t_w[row_ok]
             acc = groups[ok]
             coef[acc] += step[trial[ok]]
-            info[acc], ll[acc], objective[acc] = t_info[ok], t_ll[ok], t_obj[ok]
+            info[acc], objective[acc] = t_info[ok], t_obj[ok]
             trial = trial[~ok]
             if trial.size == 0:
                 break
             step[trial] /= 2.0
     return GlmFit(coef=coef, fitted_mean=mu, converged=converged,
-                  iterations=passes, deviance=-2.0 * ll)
+                  iterations=passes)
 
 
 def unscaled_precision(F0, mu, family: Family, layout: GroupLayout,

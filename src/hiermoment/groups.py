@@ -159,8 +159,7 @@ class SummarySet:
             dispersion=None if np.isnan(dispersion) else dispersion)
 
 
-def summarize_groups(dataset: GroupedDataset, family: Family,
-                     rank_tol: float | None = None):
+def summarize_groups(dataset: GroupedDataset, family: Family):
     """Reduce every group of ``dataset`` to its summary, as stacks.
 
     One stacked :func:`compact_svd` of the long ``[X Z]`` columns and y
@@ -188,7 +187,7 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
     """
     k, layout = dataset.p + dataset.q, dataset.layout
     gaussian = family.name == "gaussian"
-    svd = compact_svd((dataset.X, dataset.Z), dataset.y, rank_tol, layout)
+    svd = compact_svd((dataset.X, dataset.Z), dataset.y, layout)
     kept = np.flatnonzero(svd.r > 0)
     reasons = {i: ZeroRankError("group design is all zero (rank 0)")
                for i in np.flatnonzero(svd.r == 0).tolist()}
@@ -203,13 +202,12 @@ def summarize_groups(dataset: GroupedDataset, family: Family,
         sub, rows = layout.take(kept)
         F0 = rotated_design((dataset.X, dataset.Z), svd.V[kept], sub, rows)
         fit = fit_glm(dataset.y[rows], F0, family, layout=sub, ranks=r)
-        theta = np.where(pad, 0.0, fit.coef)
-        P = unscaled_precision(F0, fit.fitted_mean, family, sub, r)
-        precision = np.where(pad[:, :, None] | pad[:, None, :], np.eye(k), P)
+        theta = fit.coef
+        precision = unscaled_precision(F0, fit.fitted_mean, family, sub, r)
         for j in np.flatnonzero(~fit.converged).tolist():
             reasons[int(kept[j])] = ConvergenceError(
                 f"the fit did not converge in {fit.iterations} iterations")
-        for j, problem in singular_precision(P, r).items():
+        for j, problem in singular_precision(precision, r).items():
             reasons.setdefault(int(kept[j]), DegeneratePrecisionError(problem))
     sel = np.flatnonzero(~np.isin(kept, list(reasons)))
     keys = list(map(dataset.ids.__getitem__, kept[sel].tolist()))
@@ -263,11 +261,7 @@ def pool_dispersion(n, r, dispersion, family: Family) -> float:
     return float(np.cumsum(df * dispersion[has])[-1] / den)
 
 
-def build_summary_set(
-    dataset: GroupedDataset,
-    family: Family,
-    rank_tol: float | None = None,
-) -> SummarySet:
+def build_summary_set(dataset: GroupedDataset, family: Family) -> SummarySet:
     """Summarize every group (see :func:`summarize_groups`) and pool
     dispersion.
 
@@ -276,7 +270,7 @@ def build_summary_set(
     sorted by group id, so the output does not depend on the order of the
     groups.
     """
-    columns, skipped = summarize_groups(dataset, family, rank_tol)
+    columns, skipped = summarize_groups(dataset, family)
     phi = pool_dispersion(columns["n"], columns["r"], columns["dispersion"],
                           family)
     return SummarySet._from_columns(

@@ -25,28 +25,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompactSvd:
-    """Compact SVD ``F = U @ diag(d) @ V.T`` and the least-squares fit of a
-    response y on F, without U: singular values ``d`` (r,), positive and
-    descending; orthonormal right vectors ``V`` (k, r); the numerical rank
-    ``r``; the rotated response ``c = U'y`` (r,), so that ``c / d`` are the
-    coefficients of y on ``F @ V``; and ``rss = |y - U c|^2``. The stacked
-    form (see :func:`compact_svd`) is zero-padded to k directions."""
+    """Compact SVDs ``F_i = U_i @ diag(d_i) @ V_i.T`` of M stacked matrices
+    and the least-squares fits of y_i on them, without U, zero-padded to k
+    directions: singular values ``d`` (M, k), positive and descending;
+    orthonormal right vectors ``V`` (M, k, k); numerical ranks ``r`` (M,);
+    rotated responses ``c_i = U_i'y_i`` (M, k), so that ``c_i / d_i`` are
+    the coefficients of y_i on ``F_i @ V_i``; and ``rss_i = |y_i - U_i c_i|^2``."""
 
     d: np.ndarray
     V: np.ndarray
-    r: int
+    r: np.ndarray
     c: np.ndarray
-    rss: float
+    rss: np.ndarray
 
 
 # Largest number of matrix entries gathered for one batched LAPACK call.
 _SVD_CHUNK = 1 << 16
 
 
-def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
-                layout: GroupLayout | None = None) -> CompactSvd:
-    """Compact SVD of F keeping only singular values above the rank
-    threshold, with the least-squares fit of y in its frame.
+def compact_svd(F, y: np.ndarray, layout: GroupLayout) -> CompactSvd:
+    """Compact SVD of each row block of F keeping only singular values
+    above its rank threshold, with the least-squares fit of y in its frame.
 
     Parameters
     ----------
@@ -54,19 +53,17 @@ def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
         Finite matrix; a tuple such as ``(X, Z)`` is read as its blocks'
         columns side by side, with no joined copy.
     y : ndarray of shape (n,)
-    rank_tol : float, optional
-        Relative threshold, finite and in [0, 1); a singular value is
-        retained when it exceeds ``rank_tol * max(n, k) * sigma_max``.
-        Defaults to machine epsilon, the standard numerical-rank convention.
-    layout : GroupLayout, optional
+    layout : GroupLayout
         The row blocks of M stacked matrices: matrix i is group i's rows of
-        F, with its own threshold. None takes all rows as one matrix.
+        F. A singular value of matrix i is retained when it exceeds
+        ``eps * max(n_i, k) * sigma_max``, with eps the machine epsilon,
+        the standard numerical-rank convention.
 
     Returns
     -------
     CompactSvd
-        With ``layout``, stacked: ``d`` and ``c`` (M, k), ``V`` (M, k, k)
-        C-contiguous, ``r`` and ``rss`` (M,).
+        ``d`` and ``c`` (M, k), ``V`` (M, k, k) C-contiguous, ``r`` and
+        ``rss`` (M,).
 
     One Householder QR of ``[F y]`` gives ``R = [[A, b], [0, e]]``, and the
     SVD ``A = W diag(d) V'`` gives ``c = W'b`` and ``rss = e^2`` plus
@@ -75,22 +72,17 @@ def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
     batched stack of ``_SVD_CHUNK`` gathered entries (a longer matrix is
     reduced in row pieces, each QR taking the last R on top of the next),
     and the k x k factors to batched ``np.linalg.svd`` calls. So each
-    matrix's results are bitwise those of a one-matrix call."""
+    matrix's results are bitwise those of a call on its rows alone."""
     blocks = [np.asarray(b, dtype=float)
               for b in (F if isinstance(F, tuple) else (F,))]
     y = np.asarray(y, dtype=float)
     N, k = y.shape[0] if y.ndim == 1 else 0, sum(b.shape[-1] for b in blocks)
-    one = layout is None
-    n = N if one else layout.offsets[-1]
+    n = layout.offsets[-1]
     if N < 1 or k < 1 or n != N or any(b.ndim != 2 or len(b) != N for b in blocks):
         raise ValueError(f"expected nonempty 2-D blocks and a response of {n} "
                          f"rows, got shapes {[b.shape for b in blocks]}, {y.shape}")
     if not all(np.isfinite(b).all() for b in blocks + [y]):
         raise ValueError("matrix or response has non-finite entries")
-    rank_tol = float(np.finfo(float).eps if rank_tol is None else rank_tol)
-    if not 0.0 <= rank_tol < 1.0:
-        raise ValueError(f"rank_tol must be finite and in [0, 1), got {rank_tol}")
-    layout = GroupLayout([0, N]) if one else layout
     first, sizes = layout.starts, layout.sizes
     M, blocks = first.size, blocks + [y[:, None]]
     # Each matrix's R = [[A, b], [0, e]] is kept in V, c and rss: A with
@@ -115,8 +107,8 @@ def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
         W, d[lo:lo + step], Vt = np.linalg.svd(V[lo:lo + step])
         V[lo:lo + step] = Vt.swapaxes(1, 2)
         c[lo:lo + step] = (W * c[lo:lo + step, :, None]).sum(axis=1)
-    r = np.minimum(sizes, np.count_nonzero(
-        d > (rank_tol * np.maximum(sizes, k) * d[:, 0])[:, None], axis=1))
+    tol = np.finfo(float).eps * np.maximum(sizes, k) * d[:, 0]
+    r = np.minimum(sizes, np.count_nonzero(d > tol[:, None], axis=1))
     keep = np.arange(k) < r[:, None]
     # Sign convention: the largest-magnitude entry of each right singular
     # vector is positive, so factors do not depend on the LAPACK build.
@@ -126,11 +118,7 @@ def compact_svd(F, y: np.ndarray, rank_tol: float | None = None,
     d = np.where(keep, d, 0.0)
     c = np.where(keep, np.where(flip, -c, c), 0.0)
     V = np.where(keep[:, None], np.where(flip[:, None], -V, V), 0.0)
-    if not one:
-        return CompactSvd(d=d, V=V, r=r, c=c, rss=rss)
-    m = int(r[0])
-    return CompactSvd(d=d[0, :m], V=V[0, :, :m], r=m, c=c[0, :m],
-                      rss=float(rss[0]))
+    return CompactSvd(d=d, V=V, r=r, c=c, rss=rss)
 
 
 def rotated_design(blocks, V, layout: GroupLayout, rows) -> np.ndarray:

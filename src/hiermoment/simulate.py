@@ -14,8 +14,8 @@ from .combine import FitOptions, MomentFit, fit_moment
 from .data import GroupedDataset, GroupLayout
 from .ebayes import _id_rows, posterior_set, predict_grouped
 from .errors import HierMomentError
-from .families import Family, expit, fit_glm
-from .linalg import compact_svd, rotated_design
+from .families import Family, expit
+from .groups import summarize_groups
 
 __all__ = [
     "SimTruth",
@@ -292,21 +292,20 @@ class GlobalFit:
 
 
 def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
-    """Pooled GLM ignoring group structure.
-
-    Stacks all observations, reduces the combined [X Z] design by compact SVD
-    (the fixed and random designs may share columns), and fits one
-    Firth-penalized coefficient vector. The gaussian least-squares fit is
-    closed form in the SVD frame, ``U'y / d``.
+    """Pooled GLM ignoring group structure: the summary of all rows taken
+    as one group (see :func:`hiermoment.groups.summarize_groups`), whose
+    compact SVD reduces the combined [X Z] design (the fixed and random
+    designs may share columns). The coefficient is the least-squares fit,
+    or the Firth-penalized one for logit, ``V @ theta``. Raises the
+    :class:`HierMomentError` for which that group was skipped.
     """
-    svd = compact_svd((dataset.X, dataset.Z), dataset.y)
-    if family.name == "gaussian":
-        theta = svd.c / svd.d
-    else:
-        F0 = rotated_design((dataset.X, dataset.Z), svd.V[None],
-                            *GroupLayout([0, dataset.n_obs]).take([0]))
-        theta = fit_glm(dataset.y, F0, family).coef
-    return GlobalFit(coef=svd.V @ theta)
+    pooled = GroupedDataset._from_columns(
+        dataset.y, dataset.X, dataset.Z, (0,),
+        GroupLayout([0, dataset.n_obs]), dataset.p, dataset.q)
+    columns, skipped = summarize_groups(pooled, family)
+    if skipped:
+        raise skipped[0][1]
+    return GlobalFit(coef=columns["V"][0] @ columns["theta"][0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,6 +133,8 @@ class TestFitCommand:
     @pytest.mark.parametrize("value", ["-1", "1", "nan", "inf"])
     def test_rank_tol_outside_unit_interval_rejected(self, tmp_path, capsys,
                                                      value):
+        """The rank rule is fixed: ``--rank-tol`` is an unknown argument,
+        whatever its value, and exits 2 before any work."""
         src = tmp_path / "data.csv"
         _oneway_csv(src)
         with warnings.catch_warnings():
@@ -141,7 +143,7 @@ class TestFitCommand:
                        "--response-col", "y", "--rank-tol", value,
                        "--out", str(tmp_path / "fit.txt")])
         assert rc == 2
-        assert "rank_tol must be finite" in capsys.readouterr().err
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
         assert not (tmp_path / "fit.txt").exists()
 
     def test_logit_separated_group_stays_finite(self, tmp_path):

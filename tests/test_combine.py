@@ -113,10 +113,8 @@ class TestMakeWeights:
             WeightSpec.semi_weighted(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
             WeightSpec.optimal(np.eye(2), 0.0)
-        ds = one_way_dataset([[1.0, 2.0]])
-        sset = build_summary_set(ds, GAUSSIAN)
-        with pytest.raises(ValueError):
-            make_weights(sset, WeightSpec(scheme="bogus"))
+        with pytest.raises(ValueError, match="unknown weight scheme 'bogus'"):
+            WeightSpec(scheme="bogus")
 
 
 def mixed_rank_dataset(rng):
@@ -354,9 +352,10 @@ class TestSigmaHat:
         W = make_weights(sset, WeightSpec.unweighted())
         beta, _ = fixed_effects(sset, W)
         np.testing.assert_allclose(beta, [1.0], atol=1e-12)
-        S = shat(sset, W, beta)
+        op, bias = omega2_and_bias(sset, W)
+        S = shat(sset, W, beta, op)
         np.testing.assert_allclose(S, [[2.0 / 3.0]], rtol=1e-10)
-        raw, proj, flag = sigma_hat(sset, W, beta, phi=1.0)
+        raw, proj, flag = sigma_hat(sset, W, beta, 1.0, op, bias)
         np.testing.assert_allclose(raw, [[2.0 / 3.0 - 0.1]], rtol=1e-10)
         assert not flag
         np.testing.assert_array_equal(proj, raw)
@@ -367,7 +366,8 @@ class TestSigmaHat:
         sset = build_summary_set(ds, GAUSSIAN)
         W = make_weights(sset, WeightSpec.unweighted())
         beta, _ = fixed_effects(sset, W)
-        raw, proj, flag = sigma_hat(sset, W, beta, phi=5.0)
+        raw, proj, flag = sigma_hat(sset, W, beta, 5.0,
+                                    *omega2_and_bias(sset, W))
         assert raw[0, 0] < 0
         assert flag
         np.testing.assert_array_equal(proj, [[0.0]])
@@ -377,7 +377,8 @@ class TestSigmaHat:
         sset = build_summary_set(ds, GAUSSIAN)
         W = make_weights(sset, WeightSpec.unweighted())
         beta, _ = fixed_effects(sset, W)
-        raw, proj, _ = sigma_hat(sset, W, beta, phi=sset.pooled_dispersion)
+        raw, proj, _ = sigma_hat(sset, W, beta, sset.pooled_dispersion,
+                                 *omega2_and_bias(sset, W))
         np.testing.assert_allclose(raw, [[0.0]], atol=1e-20)
         np.testing.assert_allclose(proj, [[0.0]], atol=1e-20)
 

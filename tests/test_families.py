@@ -63,9 +63,9 @@ class TestFamilyBasics:
     def test_lookup(self):
         assert get_family("gaussian") is GAUSSIAN
         assert get_family("logit") is BINOMIAL_LOGIT
-        assert get_family("binomial-logit") is BINOMIAL_LOGIT
-        with pytest.raises(ValueError):
-            get_family("poisson")
+        for name in ("binomial-logit", "poisson"):
+            with pytest.raises(ValueError, match="'gaussian', 'logit'"):
+                get_family(name)
 
     def test_gaussian_identity_link(self):
         eta = np.array([-2.0, 0.0, 3.5])
@@ -188,7 +188,8 @@ class TestFirthFit:
     def test_stacked_mixed_ranks_match_optimizer(self):
         """One stacked fit of groups of every awkward shape, zero-padded to
         k = 4 columns, matches a per-group BFGS fit; padded coefficients
-        are exactly 0."""
+        are exactly 0, and the plug-in precisions are exactly the identity
+        in the padded block and 0 across it."""
         rng = np.random.default_rng(31)
         x = rng.normal(size=8)
         cases = [  # (design, response)
@@ -214,6 +215,11 @@ class TestFirthFit:
             np.testing.assert_allclose(fit.coef[i, :r], _optimize(v, F),
                                        atol=1e-6)
             assert np.all(fit.coef[i, r:] == 0.0)
+        P = unscaled_precision(F0, fit.fitted_mean, BINOMIAL_LOGIT, layout,
+                               ranks)
+        for i, r in enumerate(ranks):
+            assert np.array_equal(P[i, r:, r:], np.eye(k - r))
+            assert not P[i, :r, r:].any() and not P[i, r:, :r].any()
 
     def test_finite_under_random_separation(self):
         """On separated data the penalized estimate stays moderate, though
@@ -368,8 +374,10 @@ class TestSmallMatrixPaths:
         y = (rng.random(12) < 0.5).astype(float)
         layout = GroupLayout([0, 4, 7, 12])
         coef = np.array([[0.2, -0.1], [0.3, 0.5], [-0.4, 0.2]])
-        mu, w, info, ll, objective = families._penalized(
+        mu, w, info, objective = families._penalized(
             y, F, layout, np.zeros((3, 2), dtype=bool), coef)
+        eta = np.einsum("nj,nj->n", F, np.repeat(coef, [4, 3, 5], axis=0))
+        ll = np.add.reduceat(y * eta - np.log1p(np.exp(eta)), [0, 4, 7])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(info)
         assert objective[1] == -np.inf

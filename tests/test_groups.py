@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from hiermoment.combine import FitOptions, fit_moment
+from hiermoment.combine import fit_moment
 from hiermoment.data import GroupData, GroupedDataset
 from hiermoment.ebayes import posterior_set
 from hiermoment.errors import DispersionError
@@ -177,19 +177,6 @@ class TestDispersion:
         vals = columns["dispersion"]
         se = vals.std(ddof=1) / math.sqrt(M)
         assert abs(vals.mean() - sigma2) < 3 * se
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rank_tol", [-1.0, 1.0, np.nan, np.inf])
-def test_rank_tol_outside_unit_interval_rejected(rank_tol):
-    """A rank threshold that is not finite or not in [0, 1) is refused
-    before any work, wherever it is given."""
-    ds = GroupedDataset.from_long(*_random_dataset(np.random.default_rng(3)))
-    with pytest.raises(ValueError, match=r"rank_tol must be finite and in"):
-        build_summary_set(ds, GAUSSIAN, rank_tol=rank_tol)
-    with pytest.raises(ValueError, match=r"rank_tol must be finite and in"):
-        fit_moment(ds, GAUSSIAN, FitOptions(rank_tol=rank_tol))
-    assert len(build_summary_set(ds, GAUSSIAN, rank_tol=0.0).ids) == 12
 
 
 class TestPoolDispersion:
@@ -437,6 +424,10 @@ class TestGaussianClosedForm:
                                    sset.precision_inv, rtol=1e-14, atol=0)
 
     def test_logit_precision_inv_is_inverse(self):
+        """The inverse precisions are symmetric inverses; the stacked Firth
+        fit and plug-in precision come padded, so theta is exactly 0 past
+        each rank and both stacks are exactly the identity in the padded
+        block and 0 across it."""
         sset = build_summary_set(
             _odd_groups(np.random.default_rng(67), BINOMIAL_LOGIT),
             BINOMIAL_LOGIT)
@@ -446,3 +437,9 @@ class TestGaussianClosedForm:
             <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(sset.precision_inv,
                               np.swapaxes(sset.precision_inv, 1, 2))
+        k = sset.p + sset.q
+        for i, r in enumerate(sset.r.tolist()):
+            assert not sset.theta[i, r:].any()
+            for P in (sset.precision[i], sset.precision_inv[i]):
+                assert np.array_equal(P[r:, r:], np.eye(k - r))
+                assert not P[:r, r:].any() and not P[r:, :r].any()

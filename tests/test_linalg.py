@@ -41,10 +41,11 @@ def _dense_sym_basis(q):
     return mats
 
 
-def _ref_rank(F, rank_tol=np.finfo(float).eps):
+def _ref_rank(F):
     """Numerical rank by the rule of compact_svd, from a direct SVD."""
     s = np.linalg.svd(F, compute_uv=False)
-    return int(np.count_nonzero(s > rank_tol * max(F.shape) * s[0])) \
+    eps = np.finfo(float).eps
+    return int(np.count_nonzero(s > eps * max(F.shape) * s[0])) \
         if s.size else 0
 
 
@@ -73,23 +74,31 @@ def _awkward_design(rng, n, p=3, q=3):
 
 
 class TestCompactSvd:
+    """A matrix alone is the one-group layout ``GroupLayout([0, n])``: its
+    results are row 0 of each stack, padded to k directions."""
+
     def test_rank_one_ones_matrix(self):
         # [[1,1],[1,1]] = 2 * (1,1)/sqrt(2) (x) (1,1)/sqrt(2), so for
         # y = (1, 3): c = U'y = 4/sqrt(2) and the residual is (-1, 1).
-        svd = compact_svd(np.ones((2, 2)), np.array([1.0, 3.0]))
-        assert svd.r == 1
-        np.testing.assert_allclose(svd.d, [2.0], rtol=1e-14)
-        np.testing.assert_allclose(svd.V[:, 0], [1 / SQRT2, 1 / SQRT2], rtol=1e-14)
-        np.testing.assert_allclose(svd.c, [4.0 / SQRT2], rtol=1e-14)
-        assert svd.rss == pytest.approx(2.0, rel=1e-14)
+        svd = compact_svd(np.ones((2, 2)), np.array([1.0, 3.0]),
+                          GroupLayout([0, 2]))
+        assert svd.r.tolist() == [1]
+        np.testing.assert_allclose(svd.d, [[2.0, 0.0]], rtol=1e-14)
+        np.testing.assert_allclose(svd.V[0, :, 0], [1 / SQRT2, 1 / SQRT2],
+                                   rtol=1e-14)
+        assert not svd.V[0, :, 1].any()
+        np.testing.assert_allclose(svd.c, [[4.0 / SQRT2, 0.0]], rtol=1e-14)
+        assert svd.rss[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_diagonal(self):
-        svd = compact_svd(np.diag([3.0, 0.0]), np.array([1.0, 2.0]))
-        assert svd.r == 1
-        np.testing.assert_allclose(svd.d, [3.0])
-        np.testing.assert_allclose(np.abs(svd.V[:, 0]), [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(svd.c, [1.0], rtol=1e-15)
-        assert svd.rss == pytest.approx(4.0, rel=1e-15)
+        svd = compact_svd(np.diag([3.0, 0.0]), np.array([1.0, 2.0]),
+                          GroupLayout([0, 2]))
+        assert svd.r.tolist() == [1]
+        np.testing.assert_allclose(svd.d, [[3.0, 0.0]])
+        np.testing.assert_allclose(np.abs(svd.V[0, :, 0]), [1.0, 0.0],
+                                   atol=1e-15)
+        np.testing.assert_allclose(svd.c, [[1.0, 0.0]], rtol=1e-15)
+        assert svd.rss[0] == pytest.approx(4.0, rel=1e-15)
 
     def test_reconstruction_and_orthonormality(self):
         """``F V`` has orthogonal columns of norms d and spans F's rows, V
@@ -97,66 +106,75 @@ class TestCompactSvd:
         rng = np.random.default_rng(42)
         for n, k in [(10, 3), (5, 5), (3, 7)]:
             F, y = rng.normal(size=(n, k)), rng.normal(size=n)
-            svd = compact_svd(F, y)
-            assert svd.r == min(n, k)
-            FV = F @ svd.V
-            np.testing.assert_allclose(FV.T @ FV, np.diag(svd.d ** 2),
-                                       rtol=0, atol=1e-12 * svd.d[0] ** 2)
-            np.testing.assert_allclose(FV @ svd.V.T, F, atol=1e-10 * svd.d[0])
-            np.testing.assert_allclose(svd.V.T @ svd.V, np.eye(svd.r), atol=1e-12)
-            U = FV / svd.d
-            np.testing.assert_allclose(svd.c, U.T @ y, rtol=0, atol=1e-12)
-            assert svd.rss == pytest.approx(np.sum((y - U @ svd.c) ** 2),
-                                            rel=1e-10, abs=1e-24)
+            svd = compact_svd(F, y, GroupLayout([0, n]))
+            r = int(svd.r[0])
+            assert r == min(n, k)
+            d, V, c = svd.d[0, :r], svd.V[0, :, :r], svd.c[0, :r]
+            FV = F @ V
+            np.testing.assert_allclose(FV.T @ FV, np.diag(d ** 2),
+                                       rtol=0, atol=1e-12 * d[0] ** 2)
+            np.testing.assert_allclose(FV @ V.T, F, atol=1e-10 * d[0])
+            np.testing.assert_allclose(V.T @ V, np.eye(r), atol=1e-12)
+            U = FV / d
+            np.testing.assert_allclose(c, U.T @ y, rtol=0, atol=1e-12)
+            assert svd.rss[0] == pytest.approx(np.sum((y - U @ c) ** 2),
+                                               rel=1e-10, abs=1e-24)
 
     def test_duplicate_column_drops_rank(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(8, 1)), rng.normal(size=(8, 1))
-        svd = compact_svd(np.hstack([a, a, b]), rng.normal(size=8))
-        assert svd.r == 2
+        svd = compact_svd(np.hstack([a, a, b]), rng.normal(size=8),
+                          GroupLayout([0, 8]))
+        assert svd.r.tolist() == [2]
 
     def test_rank_tol_drops_small_values(self):
-        F, y = np.diag([1.0, 1e-9]), np.ones(2)
-        assert compact_svd(F, y).r == 2
-        assert compact_svd(F, y, rank_tol=1e-6).r == 1
+        """The rank threshold is ``eps * max(n, k) * sigma_max``: a singular
+        value of 1e-15 is kept in 2 rows and dropped in 100, where the
+        threshold is 2.2e-14; one of 1e-9 is kept in both."""
+        F = np.zeros((102, 2))
+        for small, ranks in [(1e-9, [2, 2]), (1e-15, [2, 1])]:
+            F[:2] = F[2:4] = np.diag([1.0, small])
+            svd = compact_svd(F, np.ones(102), GroupLayout([0, 2, 102]))
+            assert svd.r.tolist() == ranks
 
     def test_sign_convention_positive_lead(self):
         rng = np.random.default_rng(11)
-        svd = compact_svd(rng.normal(size=(6, 4)), rng.normal(size=6))
-        for j in range(svd.r):
-            lead = np.argmax(np.abs(svd.V[:, j]))
-            assert svd.V[lead, j] > 0
+        svd = compact_svd(rng.normal(size=(6, 4)), rng.normal(size=6),
+                          GroupLayout([0, 6]))
+        for j in range(svd.r[0]):
+            lead = np.argmax(np.abs(svd.V[0, :, j]))
+            assert svd.V[0, lead, j] > 0
 
     def test_deterministic_across_copies(self):
         rng = np.random.default_rng(1)
         F, y = rng.normal(size=(9, 4)), rng.normal(size=9)
-        a = compact_svd(F, y)
-        b = compact_svd(F.copy(order="F"), y.copy())
-        c = compact_svd((F[:, :1], F[:, 1:]), y)  # blocks, no joined copy
+        layout = GroupLayout([0, 9])
+        a = compact_svd(F, y, layout)
+        b = compact_svd(F.copy(order="F"), y.copy(), layout)
+        c = compact_svd((F[:, :1], F[:, 1:]), y, layout)  # no joined copy
         for other in (b, c):
-            assert np.array_equal(a.d, other.d)
-            assert np.array_equal(a.V, other.V)
-            assert np.array_equal(a.c, other.c)
-            assert a.rss == other.rss
+            for name in ("d", "V", "r", "c", "rss"):
+                assert np.array_equal(getattr(a, name), getattr(other, name))
 
     def test_zero_matrix_rank_zero(self):
         y = np.array([1.0, -2.0, 2.0])
-        svd = compact_svd(np.zeros((3, 2)), y)
-        assert svd.r == 0
-        assert svd.d.shape == svd.c.shape == (0,)
-        assert svd.rss == pytest.approx(9.0, rel=1e-15)
+        svd = compact_svd(np.zeros((3, 2)), y, GroupLayout([0, 3]))
+        assert svd.r.tolist() == [0]
+        assert not svd.d.any() and not svd.V.any() and not svd.c.any()
+        assert svd.rss[0] == pytest.approx(9.0, rel=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            compact_svd(np.array([[1.0, np.nan]]), np.ones(1))
+            compact_svd(np.array([[1.0, np.nan]]), np.ones(1),
+                        GroupLayout([0, 1]))
         with pytest.raises(ValueError):
-            compact_svd(np.array([[1.0, 2.0]]), np.array([np.inf]))
+            compact_svd(np.array([[1.0, 2.0]]), np.array([np.inf]),
+                        GroupLayout([0, 1]))
 
     def test_stacked_bitwise_equal_to_one_matrix_calls(self):
         """Row blocks of every awkward shape, reduced in one stacked call,
-        give bitwise the results of one-matrix calls, zero-padded to k
-        directions; each one-matrix call's singular values agree with
-        LAPACK's on the block alone."""
+        give bitwise the results of calls on each block alone; each
+        block's singular values agree with LAPACK's on the block."""
         rng = np.random.default_rng(23)
         k = 4
         H = np.array([[1, 1, 1, 1], [1, -1, 1, -1],
@@ -179,20 +197,19 @@ class TestCompactSvd:
         sizes = np.array([b.shape[0] for b in blocks])
         layout = GroupLayout(np.append(0, np.cumsum(sizes)))
         y = rng.normal(size=sizes.sum())
-        st = compact_svd(np.vstack(blocks), y, layout=layout)
+        st = compact_svd(np.vstack(blocks), y, layout)
         assert sorted(st.r[np.argsort(order)][:8]) == [0, 1, 1, 3, 3, 4, 4, 4]
         assert st.V.flags.c_contiguous
         for i, (b, lo) in enumerate(zip(blocks, layout.starts)):
-            one = compact_svd(b, y[lo:lo + b.shape[0]])
-            r = one.r
-            assert st.r[i] == r
+            one = compact_svd(b, y[lo:lo + b.shape[0]],
+                              GroupLayout([0, b.shape[0]]))
+            for name in ("d", "V", "r", "c", "rss"):
+                assert np.array_equal(getattr(st, name)[i],
+                                      getattr(one, name)[0])
+            r = st.r[i]
             s = np.linalg.svd(b, compute_uv=False)
-            np.testing.assert_allclose(one.d, s[:r], rtol=0,
+            np.testing.assert_allclose(st.d[i, :r], s[:r], rtol=0,
                                        atol=1e-14 * s[0])
-            assert np.array_equal(st.d[i, :r], one.d)
-            assert np.array_equal(st.V[i, :, :r], one.V)
-            assert np.array_equal(st.c[i, :r], one.c)
-            assert st.rss[i] == one.rss
             assert not st.d[i, r:].any() and not st.V[i, :, r:].any()
             assert not st.c[i, r:].any()
 
@@ -204,7 +221,7 @@ class TestCompactSvd:
               for n in rng.integers(1, 61, size=3000)]
         sizes = np.array([len(F) for F in Fs])
         svd = compact_svd(np.vstack(Fs), rng.normal(size=sizes.sum()),
-                          layout=GroupLayout(np.append(0, np.cumsum(sizes))))
+                          GroupLayout(np.append(0, np.cumsum(sizes))))
         ref = [_ref_rank(F) for F in Fs]
         assert svd.r.tolist() == ref
         assert 0 < min(ref) and min(ref) < max(ref)
@@ -222,7 +239,7 @@ class TestCompactSvd:
               for F in Fs]
         sizes = np.array([len(F) for F in Fs])
         svd = compact_svd(np.vstack(Fs), np.concatenate(ys),
-                          layout=GroupLayout(np.append(0, np.cumsum(sizes))))
+                          GroupLayout(np.append(0, np.cumsum(sizes))))
         eps = np.finfo(float).eps
         for i, (F, y) in enumerate(zip(Fs, ys)):
             r, ynorm = svd.r[i], np.linalg.norm(y)
@@ -246,12 +263,14 @@ class TestCompactSvd:
         rng = np.random.default_rng(107)
         F = rng.normal(size=(40000, 5)) * [1.0, 1e3, 1e-3, 1.0, 1.0]
         y = F @ rng.normal(size=5) + rng.normal(size=40000)
-        svd = compact_svd(F, y)
+        svd = compact_svd(F, y, GroupLayout([0, 40000]))
         beta, res, *_ = np.linalg.lstsq(F, y, rcond=None)
         s = np.linalg.svd(F, compute_uv=False)
-        np.testing.assert_allclose(svd.d, s, rtol=0, atol=1e-13 * s[0])
-        np.testing.assert_allclose(svd.V @ (svd.c / svd.d), beta, rtol=1e-10)
-        assert svd.rss == pytest.approx(res[0], rel=1e-10)
+        assert svd.r.tolist() == [5]
+        np.testing.assert_allclose(svd.d[0], s, rtol=0, atol=1e-13 * s[0])
+        np.testing.assert_allclose(svd.V[0] @ (svd.c[0] / svd.d[0]), beta,
+                                   rtol=1e-10)
+        assert svd.rss[0] == pytest.approx(res[0], rel=1e-10)
 
 
 class TestRotatedDesign:

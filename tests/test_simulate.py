@@ -17,8 +17,8 @@ from hiermoment.combine import MomentFit, ScaleRecord, fit_moment
 from hiermoment.data import GroupData, GroupedDataset
 from hiermoment import groups, simulate
 from hiermoment.ebayes import PosteriorSet, posterior_set
-from hiermoment.errors import SingularOmega2Error
-from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN, expit
+from hiermoment.errors import SingularOmega2Error, ZeroRankError
+from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN, expit, fit_glm
 from hiermoment.groups import summarize_groups
 from hiermoment.linalg import compact_svd
 from hiermoment.simulate import (
@@ -387,6 +387,26 @@ class TestBaselines:
         mu = gfit.predict(ds.groups[0].X, ds.groups[0].Z, BINOMIAL_LOGIT)
         assert np.all((mu > 0) & (mu < 1))
 
+    def test_global_logit_matches_direct_firth_fit(self):
+        """Firth's estimate is equivariant under the SVD rotation, so on a
+        full-rank pooled design the one-group summary's coefficient is
+        the Firth fit of y on [X Z] itself."""
+        ds, _ = gen_replicate(20, 2000, 3, 3, BINOMIAL_LOGIT, seed=5)
+        ref = fit_glm(ds.y, np.hstack([ds.X, ds.Z]), BINOMIAL_LOGIT)
+        np.testing.assert_allclose(fit_global(ds, BINOMIAL_LOGIT).coef,
+                                   ref.coef, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_global_zero_design_raises_zero_rank(self, family):
+        """An all-zero pooled [X Z] has no direction to fit: the pooled
+        group is skipped as rank 0, and its reason is raised."""
+        ds = GroupedDataset.from_long(np.array([0.0, 1.0, 1.0, 0.0]),
+                                      np.zeros((4, 2)), np.zeros((4, 1)),
+                                      [0, 0, 1, 1])
+        with pytest.raises(ZeroRankError):
+            fit_global(ds, family)
+
     def test_local_single_group_equals_direct_fit(self):
         rng = np.random.default_rng(47)
         X = rng.normal(size=(10, 2))
@@ -537,7 +557,7 @@ class TestRunStudy:
 
     def test_one_summary_pass_per_replicate(self, monkeypatch):
         """hier and local share one stacked SVD of each replicate's groups;
-        global alone summarizes no group."""
+        global summarizes its one pooled group."""
         calls = []
 
         def counted(*args, **kwargs):
@@ -547,10 +567,10 @@ class TestRunStudy:
         monkeypatch.setattr(groups, "compact_svd", counted)
         run_study([200], M=10, p=2, q=2, replicates=2, family=GAUSSIAN,
                   seed=9)
-        assert len(calls) == 2
+        assert len(calls) == 4
         run_study([200], M=10, p=2, q=2, replicates=2, family=GAUSSIAN,
                   methods=("global",), seed=9)
-        assert len(calls) == 2
+        assert len(calls) == 6
 
     def test_failed_moment_fit_fails_hier_and_local(self, monkeypatch):
         def failing(*args, **kwargs):
