@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--random-cols", default="", help="comma-separated random-effect columns (may overlap fixed)")
     fit.add_argument("--family", choices=["gaussian", "logit"], default="gaussian")
     fit.add_argument("--weights", choices=SCHEMES, default="semiweighted")
-    fit.add_argument("--refits", type=int, default=1, metavar="K")
     fit.add_argument("--no-intercept", action="store_true",
                      help="do not auto-add an intercept column to X and Z")
     fit.add_argument("--out", required=True, help="fit artifact path")
@@ -75,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replicates", type=int, default=5)
     sim.add_argument("--methods", default="hier,global,local")
     sim.add_argument("--weights", choices=SCHEMES, default="semiweighted")
-    sim.add_argument("--refits", type=int, default=1, metavar="K")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="study table path (TSV)")
     return parser
@@ -398,7 +396,7 @@ def _read_dataset(args):
 def _cmd_fit(args) -> int:
     family = get_family(args.family)
     dataset, fixed_names, random_names = _read_dataset(args)
-    options = FitOptions(scheme=args.weights, refits=args.refits)
+    options = FitOptions(scheme=args.weights)
     fit = fit_moment(dataset, family, options)
     _write_fit_artifact(args.out, args, fit, fixed_names, random_names)
     if args.posteriors_out:
@@ -469,7 +467,7 @@ def _cmd_simulate(args) -> int:
     if not n_grid:
         raise _InputError("--N-grid is empty")
     methods = tuple(_split_cols(args.methods))
-    options = FitOptions(scheme=args.weights, refits=args.refits)
+    options = FitOptions(scheme=args.weights)
     rows = run_study(
         n_grid, args.M, args.p, args.q, args.replicates, family,
         methods=methods, seed=args.seed, options=options,

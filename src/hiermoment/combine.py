@@ -244,19 +244,15 @@ def standardize(dataset: GroupedDataset) -> tuple[GroupedDataset, ScaleRecord]:
 class FitOptions:
     """Options for :func:`fit_moment`.
 
-    scheme: "semiweighted" (default: an identity covariance guess, then
-        ``refits`` passes with the estimated covariance), "unweighted", or
-        "weighted" (single pass each).
-    refits: number of semi-weighted refits after the initial pass, >= 0.
+    scheme: "semiweighted" (default: an identity covariance guess, then one
+        refit with the estimated covariance), "unweighted", or "weighted"
+        (single pass each).
     """
 
     scheme: str = "semiweighted"
-    refits: int = 1
 
     def __post_init__(self):
         WeightSpec(self.scheme)  # raises on an unknown scheme
-        if self.refits < 0:
-            raise ValueError(f"refits must be >= 0, got {self.refits}")
 
 
 @dataclass(frozen=True)
@@ -293,9 +289,9 @@ def fit_moment(
 
     Standardizes predictors, reduces each group to a summary, pools the
     dispersion, combines summaries under the configured weight scheme
-    (semi-weighted with identity guess by default, then ``refits`` passes
-    with the estimated covariance), and back-transforms to the original
-    predictor frame.
+    (semi-weighted with identity guess by default, then one refit with the
+    estimated covariance, counted in ``steps``), and back-transforms to the
+    original predictor frame.
     """
     opts = options or FitOptions()
     scaled, record = standardize(dataset)
@@ -304,7 +300,7 @@ def fit_moment(
 
     if opts.scheme == "semiweighted":
         spec = WeightSpec.semi_weighted(np.eye(sset.q))
-        n_refits = int(opts.refits)
+        n_refits = 1  # the paper's semi-weighted fit refits once
     else:
         spec = WeightSpec(scheme=opts.scheme)
         n_refits = 0  # weights do not depend on the covariance estimate

@@ -1,5 +1,6 @@
-"""Response families (gaussian-identity, binomial-logit), the logit GLM fit
-of many groups at once, and the plug-in unscaled precision.
+"""Response families (gaussian-identity, binomial-logit) and the logit GLM
+fit of many groups at once, which also gives each group's plug-in unscaled
+precision: the Fisher information at its fit.
 
 Stacked layout: the rows of M groups lie in the blocks of one
 :class:`~hiermoment.data.GroupLayout`, and every group's design is
@@ -40,7 +41,6 @@ __all__ = [
     "BINOMIAL_LOGIT",
     "get_family",
     "fit_glm",
-    "unscaled_precision",
     "singular_precision",
 ]
 
@@ -54,10 +54,6 @@ _HALVING_SLACK = 1e-10  # relative round-off allowance of the halving test
 _FISHER_PASSES = 2
 
 
-def _clip_mu(mu):
-    return np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-
-
 def expit(x):
     """The logistic function ``1 / (1 + exp(-x))``: 0 at -inf, 1 at +inf."""
     with np.errstate(over="ignore"):
@@ -66,9 +62,7 @@ def expit(x):
 
 @dataclass(frozen=True)
 class Family:
-    """Response family: inverse link and variance function ``V(mu)``. Both
-    links are canonical, so ``V(mu)`` is also the working weight
-    ``lam(mu) = (dmu/deta)^2 / V(mu)``.
+    """Response family and its inverse link; both links are canonical.
 
     ``dispersion`` holds the known value (1.0 for binomial-logit) and is None
     when the dispersion must be estimated from data.
@@ -82,12 +76,6 @@ class Family:
         if self.name == "gaussian":
             return np.asarray(eta, dtype=float)
         return expit(eta)
-
-    def variance(self, mu):
-        if self.name == "gaussian":
-            return np.ones_like(np.asarray(mu, dtype=float))
-        mu = _clip_mu(mu)
-        return mu * (1.0 - mu)
 
 
 GAUSSIAN = Family(name="gaussian", dispersion_known=False, dispersion=None)
@@ -112,14 +100,18 @@ def get_family(name: str) -> Family:
 class GlmFit:
     """Result of a GLM fit.
 
-    For one group, ``coef`` has shape (r,) and ``converged`` is a bool. For
-    a stacked fit of M groups they have shapes (M, k) and (M,).
-    ``fitted_mean`` is per row, and ``iterations`` counts the passes over
-    the stack (the score evaluations of the slowest group).
+    For one group, ``coef`` has shape (r,), ``information`` (r, r) and
+    ``converged`` is a bool. For a stacked fit of M groups they have shapes
+    (M, k), (M, k, k) and (M,). ``information`` is each group's Fisher
+    information ``F0' diag(mu (1 - mu)) F0`` at ``coef``, the weight floored
+    at 1e-10, with the identity in the padded block: the group's plug-in
+    unscaled precision, unchecked (see :func:`singular_precision`).
+    ``iterations`` counts the passes over the stack (the score evaluations
+    of the slowest group).
     """
 
     coef: np.ndarray
-    fitted_mean: np.ndarray
+    information: np.ndarray
     converged: bool | np.ndarray
     iterations: int
 
@@ -224,7 +216,7 @@ def fit_glm(
     if np.linalg.matrix_rank(F0) < k:
         raise ValueError("design is rank deficient; reduce it first")
     fit = _firth(y, F0, GroupLayout([0, n]), np.zeros((1, k), dtype=bool))
-    one = GlmFit(coef=fit.coef[0], fitted_mean=fit.fitted_mean,
+    one = GlmFit(coef=fit.coef[0], information=fit.information[0],
                  converged=bool(fit.converged[0]), iterations=fit.iterations)
     if not one.converged:
         raise ConvergenceError(
@@ -363,22 +355,8 @@ def _firth(y, F, layout, pad):
             if trial.size == 0:
                 break
             step[trial] /= 2.0
-    return GlmFit(coef=coef, fitted_mean=mu, converged=converged,
+    return GlmFit(coef=coef, information=info, converged=converged,
                   iterations=passes)
-
-
-def unscaled_precision(F0, mu, family: Family, layout: GroupLayout,
-                       ranks=None):
-    """Plug-in unscaled precision ``F0.T @ diag(lam(mu)) @ F0`` of each group
-    of ``layout``, the rows stacked as for :func:`fit_glm`.
-
-    For the gaussian family (lam = 1) this is exactly ``F0.T @ F0``. The
-    result is the (M, k, k) stack with the identity in each padded block,
-    unchecked (see :func:`singular_precision`).
-    """
-    F0 = np.asarray(F0, dtype=float)
-    return _information(F0, family.variance(mu), layout,
-                        _pad(layout, F0.shape[1], ranks))
 
 
 def singular_precision(P, ranks) -> dict:

@@ -7,8 +7,9 @@ the blocks of its :class:`~hiermoment.data.GroupLayout`: one stacked
 :func:`compact_svd` call (an R-SVD bucketed by exact row count) reduces
 every group's ``[X Z y]`` rows, and a gaussian group's fit and Pearson
 dispersion are closed form in the result. The logit groups of nonzero rank
-are the layout's ``take``, fitted and given plug-in precisions by one call
-each (see :mod:`hiermoment.families`). No loop runs over groups, and each
+are the layout's ``take``, fitted by one call whose Fisher information at
+each group's fit is that group's plug-in precision (see
+:mod:`hiermoment.families`). No loop runs over groups, and each
 group's result depends on its own rows only. The summaries are written
 straight into zero-padded stacks ordered by group id, so every population
 sum over groups is one array operation; per-group :class:`GroupSummary`
@@ -30,12 +31,7 @@ from .errors import (
     DispersionError,
     ZeroRankError,
 )
-from .families import (
-    Family,
-    fit_glm,
-    singular_precision,
-    unscaled_precision,
-)
+from .families import Family, fit_glm, singular_precision
 from .linalg import compact_svd, rotated_design, sym
 
 __all__ = [
@@ -169,8 +165,8 @@ def summarize_groups(dataset: GroupedDataset, family: Family):
     ``rss / (n - r)`` and precision ``diag(d^2)``, with no row pass. Logit
     groups' rotated designs ``F0 = F V`` (zero-padded to k = p + q columns)
     are built in one array over the layout's ``take`` of those groups and
-    fitted together by one Firth-penalized :func:`fit_glm` call, and their
-    plug-in precisions are one stacked call.
+    fitted together by one Firth-penalized :func:`fit_glm` call, whose
+    information at each group's fit is its plug-in precision.
 
     Returns
     -------
@@ -202,8 +198,7 @@ def summarize_groups(dataset: GroupedDataset, family: Family):
         sub, rows = layout.take(kept)
         F0 = rotated_design((dataset.X, dataset.Z), svd.V[kept], sub, rows)
         fit = fit_glm(dataset.y[rows], F0, family, layout=sub, ranks=r)
-        theta = fit.coef
-        precision = unscaled_precision(F0, fit.fitted_mean, family, sub, r)
+        theta, precision = fit.coef, fit.information
         for j in np.flatnonzero(~fit.converged).tolist():
             reasons[int(kept[j])] = ConvergenceError(
                 f"the fit did not converge in {fit.iterations} iterations")

@@ -14,7 +14,7 @@ from .combine import FitOptions, MomentFit, fit_moment
 from .data import GroupedDataset, GroupLayout
 from .ebayes import _id_rows, posterior_set, predict_grouped
 from .errors import HierMomentError
-from .families import Family, expit
+from .families import _MU_EPS, Family, expit
 from .groups import summarize_groups
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "study_table",
 ]
 
-_MU_EPS = 1e-10
 _METHODS = ("hier", "global", "local")
 
 
@@ -40,15 +39,14 @@ class SimTruth:
     """Ground truth for one simulated replicate.
 
     ``u`` has one row per group (including groups allocated zero
-    observations); ``mu`` holds the true per-observation means for each
-    nonempty group, aligned with the dataset's group order. Its entries are
-    views of one long array laid out like the dataset's ``y``.
+    observations); ``mu`` holds the true mean of every observation, one long
+    array laid out like the dataset's ``y``.
     """
 
     beta: np.ndarray
     Sigma: np.ndarray
     u: np.ndarray
-    mu: tuple[np.ndarray, ...]
+    mu: np.ndarray
     n_alloc: np.ndarray
 
 
@@ -223,24 +221,19 @@ def gen_replicate(
     layout = GroupLayout(np.append(0, np.cumsum(n_alloc[n_alloc > 0])))
     dataset = GroupedDataset._from_columns(
         y, X, Z, tuple(np.flatnonzero(n_alloc).tolist()), layout, p, q)
-    truth = SimTruth(beta=beta, Sigma=Sigma, u=u, mu=tuple(layout.split(mu)),
-                     n_alloc=n_alloc)
+    truth = SimTruth(beta=beta, Sigma=Sigma, u=u, mu=mu, n_alloc=n_alloc)
     return dataset, truth
 
 
-def _pred_loss(truth: SimTruth, mu_hat: list[np.ndarray], family: Family) -> float:
-    n_total = sum(m.shape[0] for m in truth.mu)
-    total = 0.0
+def _pred_loss(truth: SimTruth, mu_hat: np.ndarray, family: Family) -> float:
+    """Mean squared error (gaussian) or doubled mean Bernoulli KL divergence
+    of the predicted means ``mu_hat``, laid out like ``truth.mu``."""
+    mu = truth.mu
     if family.name == "gaussian":
-        for mu, mh in zip(truth.mu, mu_hat):
-            total += np.sum((mu - mh) ** 2)
-        return total / n_total
-    for mu, mh in zip(truth.mu, mu_hat):
-        mh = np.clip(mh, _MU_EPS, 1.0 - _MU_EPS)
-        total += np.sum(
-            mu * np.log(mu / mh) + (1.0 - mu) * np.log((1.0 - mu) / (1.0 - mh))
-        )
-    return 2.0 * total / n_total
+        return float(np.mean((mu - mu_hat) ** 2))
+    mh = np.clip(mu_hat, _MU_EPS, 1.0 - _MU_EPS)
+    return 2.0 * float(np.mean(
+        mu * np.log(mu / mh) + (1.0 - mu) * np.log((1.0 - mu) / (1.0 - mh))))
 
 
 def losses(
@@ -276,7 +269,7 @@ def losses(
     raneff = float(np.sum(diff * diff) / M)
 
     mu_hat, _ = predict_grouped(dataset, fit.beta, posteriors, family)
-    pred = float(_pred_loss(truth, mu_hat, family))
+    pred = _pred_loss(truth, np.concatenate(mu_hat), family)
     return LossRecord(fixed_loss=fixed, cov_loss=cov, raneff_loss=raneff,
                       pred_loss=pred)
 
@@ -437,7 +430,7 @@ def run_study(
                             elapsed = time.perf_counter() - t0
                             fixed, mu_hat = nan, lfit.predict(dataset, family)
                         rec = LossRecord(fixed, nan, nan, _pred_loss(
-                            truth, dataset.layout.split(mu_hat), family), elapsed)
+                            truth, mu_hat, family), elapsed)
                 except HierMomentError:
                     fail[method] += 1
                     continue

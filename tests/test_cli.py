@@ -68,7 +68,7 @@ class TestFitCommand:
         rc = main([
             "fit", "--input", str(src), "--group-col", "g",
             "--response-col", "y", "--weights", "unweighted",
-            "--refits", "0", "--out", str(out),
+            "--out", str(out),
             "--posteriors-out", str(post_out),
         ])
         assert rc == 0
@@ -77,6 +77,7 @@ class TestFitCommand:
         fields, skipped = _read_artifact(out)
         assert fields["format"] == "hiermoment-fit 1"
         assert fields["family"] == "gaussian"
+        assert fields["steps"] == "0"
         assert fields["n_groups"] == "3"
         assert fields["n_obs"] == "30"
         assert fields["fixed_cols"] == "(intercept)"
@@ -122,13 +123,17 @@ class TestFitCommand:
         assert outs[0].read_text() == outs[1].read_text()
 
     def test_negative_refits_rejected(self, tmp_path, capsys):
+        """The semi-weighted fit refits once: ``--refits`` is an unknown
+        argument of ``fit`` and ``simulate``, whatever its value."""
         src = tmp_path / "data.csv"
         _oneway_csv(src)
-        rc = main(["fit", "--input", str(src), "--group-col", "g",
-                   "--response-col", "y", "--refits", "-1",
-                   "--out", str(tmp_path / "fit.txt")])
-        assert rc == 2
-        assert "refits" in capsys.readouterr().err
+        out = tmp_path / "out.txt"
+        for argv in (["fit", "--input", str(src), "--group-col", "g",
+                      "--response-col", "y"], ["simulate"]):
+            assert main(argv + ["--refits", "-1", "--out", str(out)]) == 2
+            assert ("unrecognized arguments: --refits"
+                    in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "1", "nan", "inf"])
     def test_rank_tol_outside_unit_interval_rejected(self, tmp_path, capsys,

@@ -26,7 +26,6 @@ from hiermoment.families import (
     fit_glm,
     get_family,
     singular_precision,
-    unscaled_precision,
 )
 from hiermoment.simulate import gen_replicate
 
@@ -73,15 +72,11 @@ class TestFamilyBasics:
         mu = GAUSSIAN.inv_link([1, -2])
         assert mu.dtype == np.float64
         np.testing.assert_array_equal(mu, [1.0, -2.0])
-        np.testing.assert_array_equal(GAUSSIAN.variance(eta), np.ones(3))
 
     def test_logit_link_roundtrip(self):
         mu = np.array([0.1, 0.5, 0.93])
         np.testing.assert_allclose(
             BINOMIAL_LOGIT.inv_link(np.log(mu / (1 - mu))), mu, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            BINOMIAL_LOGIT.variance(mu), mu * (1 - mu), rtol=1e-12
         )
 
     def test_dispersion_flags(self):
@@ -168,7 +163,7 @@ class TestFirthFit:
         fit = fit_glm(y, F0, BINOMIAL_LOGIT)
         assert fit.converged
         np.testing.assert_allclose(fit.coef, [-LN5, 2 * LN5], atol=1e-4)
-        np.testing.assert_allclose(fit.fitted_mean,
+        np.testing.assert_allclose(expit(F0 @ fit.coef),
                                    [1 / 6, 1 / 6, 5 / 6, 5 / 6], atol=1e-4)
 
     def test_intercept_only_all_ones(self):
@@ -185,11 +180,10 @@ class TestFirthFit:
         np.testing.assert_allclose(fit.coef, _optimize(y, F0),
                                    atol=1e-5)
 
-    def test_stacked_mixed_ranks_match_optimizer(self):
-        """One stacked fit of groups of every awkward shape, zero-padded to
-        k = 4 columns, matches a per-group BFGS fit; padded coefficients
-        are exactly 0, and the plug-in precisions are exactly the identity
-        in the padded block and 0 across it."""
+    @staticmethod
+    def _mixed_rank_stack():
+        """Groups of every awkward shape, zero-padded to k = 4 columns: the
+        cases, layout, ranks, stacked design and response."""
         rng = np.random.default_rng(31)
         x = rng.normal(size=8)
         cases = [  # (design, response)
@@ -200,14 +194,19 @@ class TestFirthFit:
             (rng.normal(size=(10, 2)), (rng.random(10) < 0.5).astype(float)),
             (rng.normal(size=(30, 4)), (rng.random(30) < 0.4).astype(float)),
         ]
-        k = 4
         sizes = np.array([F.shape[0] for F, _ in cases])
         ranks = np.array([F.shape[1] for F, _ in cases])
         layout = GroupLayout(np.append(0, np.cumsum(sizes)))
-        F0 = np.zeros((sizes.sum(), k))
+        F0 = np.zeros((sizes.sum(), 4))
         for lo, (F, _) in zip(layout.starts, cases):
             F0[lo:lo + F.shape[0], :F.shape[1]] = F
         y = np.concatenate([v for _, v in cases])
+        return cases, layout, ranks, F0, y
+
+    def test_stacked_mixed_ranks_match_optimizer(self):
+        """One stacked fit of groups of every awkward shape matches a
+        per-group BFGS fit, and padded coefficients are exactly 0."""
+        cases, layout, ranks, F0, y = self._mixed_rank_stack()
         fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, ranks=ranks)
         assert fit.converged.all()
         for i, (F, v) in enumerate(cases):
@@ -215,11 +214,23 @@ class TestFirthFit:
             np.testing.assert_allclose(fit.coef[i, :r], _optimize(v, F),
                                        atol=1e-6)
             assert np.all(fit.coef[i, r:] == 0.0)
-        P = unscaled_precision(F0, fit.fitted_mean, BINOMIAL_LOGIT, layout,
-                               ranks)
-        for i, r in enumerate(ranks):
-            assert np.array_equal(P[i, r:, r:], np.eye(k - r))
-            assert not P[i, :r, r:].any() and not P[i, r:, :r].any()
+
+    def test_stacked_information_is_plugin_precision(self):
+        """Each group's information is ``F0' diag(mu (1 - mu)) F0`` at its
+        own fit, with the identity in the padded block and 0 across it."""
+        cases, layout, ranks, F0, y = self._mixed_rank_stack()
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, ranks=ranks)
+        k = F0.shape[1]
+        assert fit.information.shape == (len(cases), k, k)
+        for i, (lo, r) in enumerate(zip(layout.starts, ranks)):
+            F = F0[lo:lo + cases[i][0].shape[0], :r]
+            mu = expit(F @ fit.coef[i, :r])
+            P = fit.information[i]
+            expected = F.T @ (F * (mu * (1.0 - mu))[:, None])
+            np.testing.assert_allclose(P[:r, :r], expected, rtol=1e-12,
+                                       atol=1e-14 * np.abs(expected).max())
+            assert np.array_equal(P[r:, r:], np.eye(k - r))
+            assert not P[:r, r:].any() and not P[r:, :r].any()
 
     def test_finite_under_random_separation(self):
         """On separated data the penalized estimate stays moderate, though
@@ -426,27 +437,25 @@ class TestSmallMatrixPaths:
 
 
 class TestUnscaledPrecision:
-    """One-group checks of the stacked precision."""
-
-    def test_gaussian_is_gram_matrix(self):
-        rng = np.random.default_rng(19)
-        F0 = rng.normal(size=(8, 3))
-        P = unscaled_precision(F0, np.zeros(8), GAUSSIAN, GroupLayout([0, 8]))
-        np.testing.assert_allclose(P, [F0.T @ F0], rtol=1e-12)
+    """One-group checks of the plug-in precision, the Firth fit's
+    information at its coefficients."""
 
     def test_binomial_weights(self):
-        F0 = np.array([[1.0], [2.0]])
-        mu = np.array([0.5, 0.2])
-        # 1*0.25*1 + 2*0.16*2
-        P = unscaled_precision(F0, mu, BINOMIAL_LOGIT, GroupLayout([0, 2]))
-        np.testing.assert_allclose(P, [[[0.25 + 0.64]]], rtol=1e-12)
+        """Balanced cells fit exactly 0, so every weight is 1/4 and the
+        information is exactly F0' F0 / 4."""
+        F0 = np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 1.0]])
+        fit = fit_glm(np.array([0.0, 1.0, 0.0, 1.0]), F0, BINOMIAL_LOGIT)
+        assert np.array_equal(fit.coef, [0.0, 0.0])
+        assert np.array_equal(fit.information, [[1.0, 0.5], [0.5, 0.5]])
 
     def test_degenerate_raises(self):
         """A singular plug-in precision is reported by singular_precision,
-        with its reason, at its position in the stack."""
-        F0 = np.ones((3, 2))
-        P = unscaled_precision(F0, np.full(3, 0.5), BINOMIAL_LOGIT,
-                               GroupLayout([0, 3]))
-        problems = singular_precision(P, [2])
-        assert list(problems) == [0]
-        assert "numerically singular" in problems[0]
+        with its reason, at its position in the stack; a fit's information
+        on a full-rank design passes."""
+        F0 = np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 1.0]])
+        fit = fit_glm(np.array([0.0, 1.0, 0.0, 1.0]), F0, BINOMIAL_LOGIT)
+        aliased = np.full((2, 2), 0.75)  # two aliased columns of 3 rows, w = 1/4
+        problems = singular_precision(np.stack([fit.information, aliased]),
+                                      [2, 2])
+        assert list(problems) == [1]
+        assert "numerically singular" in problems[1]

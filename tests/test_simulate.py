@@ -76,7 +76,7 @@ class TestGenerator:
             assert truth.n_alloc.sum() == 123
             assert sum(g.n for g in ds.groups) == 123
             assert len(ds.groups) == np.count_nonzero(truth.n_alloc)
-            assert len(truth.mu) == len(ds.groups)
+            assert truth.mu.shape == ds.y.shape
 
     def test_design_entries_are_signs(self):
         ds, _ = gen_replicate(5, 300, 3, 2, BINOMIAL_LOGIT, seed=11)
@@ -89,7 +89,7 @@ class TestGenerator:
         ds, truth = gen_replicate(5, 200, 2, 2, GAUSSIAN, seed=13)
         y = np.concatenate([g.y for g in ds.groups])
         assert np.unique(y).size > 2
-        for g, mu in zip(ds.groups, truth.mu):
+        for g, mu in zip(ds.groups, ds.layout.split(truth.mu)):
             np.testing.assert_array_equal(mu, g.X @ truth.beta
                                           + g.Z @ truth.u[g.group_id])
 
@@ -154,7 +154,7 @@ def _reference_replicate(M, N, p, q, family, seed):
         groups.append(GroupData(i, y, X, Z))
         mus.append(mu)
     return (GroupedDataset(groups, p, q),
-            SimTruth(beta=beta, Sigma=Sigma, u=u, mu=tuple(mus),
+            SimTruth(beta=beta, Sigma=Sigma, u=u, mu=np.concatenate(mus),
                      n_alloc=n_alloc))
 
 
@@ -183,9 +183,7 @@ class TestReplicateStreams:
         assert ds.ids == ref_ds.ids
         for name in ("u", "beta", "Sigma", "n_alloc"):
             assert np.array_equal(getattr(truth, name), getattr(ref, name))
-        assert [m.shape for m in truth.mu] == [m.shape for m in ref.mu]
-        assert np.array_equal(np.concatenate(truth.mu),
-                              np.concatenate(ref.mu))
+        assert np.array_equal(truth.mu, ref.mu)
 
     def test_cases_reach_their_branches(self):
         """The odd and empty-group cases above test what their names say."""
@@ -250,11 +248,14 @@ class TestReplicateStreams:
         assert built == [((4, 2, 0),)]
 
     def test_mu_views_one_long_array(self):
+        """``mu`` is one long array laid out like ``y``: each group's block
+        holds the means its responses were drawn from."""
         ds, truth = gen_replicate(20, 300, 2, 2, BINOMIAL_LOGIT, seed=8)
-        long = truth.mu[0].base
-        assert long is not None and long.shape == ds.y.shape
-        assert all(m.base is long for m in truth.mu)
-        assert np.array_equal(np.concatenate(truth.mu), long)
+        assert truth.mu.shape == ds.y.shape and truth.mu.flags.c_contiguous
+        for g, mu in zip(ds.groups, ds.layout.split(truth.mu)):
+            np.testing.assert_allclose(
+                mu, expit(g.X @ truth.beta + g.Z @ truth.u[g.group_id]),
+                rtol=1e-14)
 
 
 class TestLosses:
@@ -271,9 +272,9 @@ class TestLosses:
 
     def test_pred_loss_kl_oracle(self):
         truth = SimTruth(beta=np.zeros(1), Sigma=np.eye(1),
-                         u=np.zeros((1, 1)), mu=(np.array([0.8]),),
+                         u=np.zeros((1, 1)), mu=np.array([0.8]),
                          n_alloc=np.array([1]))
-        val = _pred_loss(truth, [np.array([0.5])], BINOMIAL_LOGIT)
+        val = _pred_loss(truth, np.array([0.5]), BINOMIAL_LOGIT)
         oracle = 2 * (0.8 * math.log(1.6) + 0.2 * math.log(0.4))
         assert val == pytest.approx(oracle, rel=1e-12)
         assert val == pytest.approx(0.38551, abs=1e-4)
@@ -291,7 +292,7 @@ class TestLosses:
         truth = SimTruth(
             beta=np.zeros(1), Sigma=np.eye(q),
             u=np.vstack([np.zeros(q), np.array([3.0, 4.0])]),
-            mu=(np.zeros(2),), n_alloc=np.array([2, 0]),
+            mu=np.zeros(2), n_alloc=np.array([2, 0]),
         )
         ds = GroupedDataset.from_long(
             np.zeros(2), np.ones((2, 1)), np.ones((2, q)), [0, 0]
@@ -317,7 +318,8 @@ class TestLosses:
         )
         ds2 = GroupedDataset(groups=groups2, p=2, q=2)
         truth2 = SimTruth(beta=truth.beta, Sigma=truth.Sigma,
-                          u=truth.u[::-1], mu=tuple(reversed(truth.mu)),
+                          u=truth.u[::-1], mu=np.concatenate(
+                              ds.layout.split(truth.mu)[::-1]),
                           n_alloc=truth.n_alloc[::-1])
         post2 = _posteriors_from(0.5 * truth2.u,
                                  [g.group_id for g in ds2.groups], 2)
@@ -604,9 +606,8 @@ class TestEndToEnd:
         rec = losses(truth, fit, post, GAUSSIAN, ds)
 
         gfit = fit_global(ds, GAUSSIAN)
-        mu_g = ds.layout.split(gfit.predict(ds.X, ds.Z, GAUSSIAN))
-        lfit = fit_local(fit)
-        mu_l = ds.layout.split(lfit.predict(ds, GAUSSIAN))
+        mu_g = gfit.predict(ds.X, ds.Z, GAUSSIAN)
+        mu_l = fit_local(fit).predict(ds, GAUSSIAN)
         pred_g = _pred_loss(truth, mu_g, GAUSSIAN)
         pred_l = _pred_loss(truth, mu_l, GAUSSIAN)
         assert rec.pred_loss < pred_g
