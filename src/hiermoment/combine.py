@@ -12,7 +12,8 @@ from .data import GroupedDataset
 from .errors import SingularOmegaError
 from .families import Family
 from .groups import SummarySet, build_summary_set
-from .linalg import SymKronOperator, eigen_floor, psd_project, sym, sym_sqrt
+from .linalg import (EPS_SING, SymKronOperator, eigen_floor, psd_project,
+                     sym, sym_sqrt)
 
 __all__ = [
     "EPS_SING",
@@ -33,10 +34,6 @@ __all__ = [
     "kappa_check",
     "kappa_bound",
 ]
-
-# Relative condition threshold beyond which the Gram operators are treated as
-# singular (identifiability failure) rather than inverted.
-EPS_SING = 1e-12
 
 # Eigenvalue floor for the covariance guess of each semi-weighted refit. The
 # first semi-weighted pass starts from the identity, which suits predictors
@@ -159,7 +156,7 @@ def omega2_and_bias(
     V2W = summary_set.V2 @ weights
     op = SymKronOperator(sym(V2W @ summary_set.V2.swapaxes(1, 2)))
     rhs = np.einsum("mqk,mrk->qr", V2W @ summary_set.precision_inv, V2W)
-    B = op.solve(sym(rhs), eps_sing=EPS_SING)
+    B = op.solve(sym(rhs))
     return op, B
 
 
@@ -173,7 +170,7 @@ def shat(
     solve of the Gram operator against ``ahat(b)``. Its expectation at the
     true fixed effects is the random-effect covariance plus dispersion times
     the bias matrix."""
-    return operator.solve(ahat(summary_set, weights, b), eps_sing=EPS_SING)
+    return operator.solve(ahat(summary_set, weights, b))
 
 
 def sigma_hat(

@@ -87,8 +87,11 @@ class GroupLayout:
 
     def row_dot(self, F, coef, where=None) -> np.ndarray:
         """Each row's ``F[j] . coef[where[g]]`` for its group g (``where``
-        defaults to g; -1 takes a zero row), one column of ``coef.T`` at a
-        time, so that no (N, k) gather of the coefficients is built."""
+        defaults to g; -1 takes a zero row; ``coef`` has F's width), one
+        column of ``coef.T`` at a time, so no (N, k) gather is built."""
+        if coef.shape[1] != F.shape[1]:
+            raise ValueError(f"coefficients of width {coef.shape[1]} for a "
+                             f"design of width {F.shape[1]}")
         if where is not None:
             coef = np.vstack([coef, np.zeros(coef.shape[1])])[where]
         ct = np.ascontiguousarray(coef.T)
@@ -212,6 +215,9 @@ class GroupedDataset:
 
     def _fill(self, y, X, Z, ids, layout, p, q):
         """Set the columns after one bulk check of shapes and values."""
+        if p < 1 or q < 1:
+            raise ValueError(f"need at least one fixed and one random "
+                             f"column, got p = {p}, q = {q}")
         N = y.shape[0]
         if y.ndim != 1 or X.shape != (N, p) or Z.shape != (N, q):
             raise ValueError(f"columns of shapes {y.shape}, {X.shape}, "

@@ -2,15 +2,16 @@
 fit of many groups at once, which also gives each group's plug-in unscaled
 precision: the Fisher information at its fit.
 
-Stacked layout: the rows of M groups lie in the blocks of one
-:class:`~hiermoment.data.GroupLayout`, and every group's design is
-zero-padded to the same k columns, of which its leading ``ranks[i]`` have
-full column rank. Per-group sums are the layout's ``sums``, and per-group
-solves are batched calls on ``(M, k, k)`` stacks whose padded block is the
-identity, so padded coefficients stay exactly 0. Each group's result depends
-on its own rows only: a fit of ``layout.take(groups)`` gives those groups'
-rows of the full fit bitwise. :func:`fit_glm` without a layout fits one
-group.
+Stacked layout: the rows of M groups, k design columns read as they are,
+lie in the blocks of one :class:`~hiermoment.data.GroupLayout`. The fit
+adds to each group's information the projector ``I - V V'`` onto the null
+space of its right vectors V (0 where V has no zero column) and rotates
+into V's frame once at the end; the Jeffreys penalty does not change under
+the rotation, so the iterates are those of a fit on ``F V``. Per-group
+sums are the layout's ``sums``, per-group solves batched calls on
+``(M, k, k)`` stacks. Each group's result depends on its own rows only: a
+fit of ``layout.take(groups)`` gives those groups' rows of the full fit
+bitwise. :func:`fit_glm` without a layout fits one group.
 
 Logit groups maximize the Jeffreys-penalized (Firth) likelihood by
 ``_FISHER_PASSES`` quasi-Fisher passes from 0, then exact Newton steps (a
@@ -102,10 +103,10 @@ class GlmFit:
 
     For one group, ``coef`` has shape (r,), ``information`` (r, r) and
     ``converged`` is a bool. For a stacked fit of M groups they have shapes
-    (M, k), (M, k, k) and (M,). ``information`` is each group's Fisher
-    information ``F0' diag(mu (1 - mu)) F0`` at ``coef``, the weight floored
-    at 1e-10, with the identity in the padded block: the group's plug-in
-    unscaled precision, unchecked (see :func:`singular_precision`).
+    (M, k), (M, k, k) and (M,), in V's frame. ``information`` is each
+    group's Fisher information ``F0' diag(mu (1 - mu)) F0`` (F0 = F V, the
+    weight floored at 1e-10) at ``coef``, identity in the padded block: its
+    plug-in unscaled precision, unchecked (see :func:`singular_precision`).
     ``iterations`` counts the passes over the stack (the score evaluations
     of the slowest group).
     """
@@ -114,12 +115,6 @@ class GlmFit:
     information: np.ndarray
     converged: bool | np.ndarray
     iterations: int
-
-
-def _pad(layout, k, ranks):
-    """(M, k) mask, True in each group's padded directions."""
-    ranks = np.full(layout.sizes.size, k) if ranks is None else np.asarray(ranks)
-    return np.arange(k) >= ranks[:, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,13 +155,13 @@ def _n_sym(k, order):
 
 def fit_glm(
     y: np.ndarray,
-    F0: np.ndarray,
+    F: np.ndarray,
     family: Family,
     layout: GroupLayout | None = None,
-    ranks: np.ndarray | None = None,
+    V: np.ndarray | None = None,
 ) -> GlmFit:
-    """Fit one binomial-logit coefficient vector per group on
-    full-column-rank designs.
+    """Fit one binomial-logit coefficient vector per group, in the frame of
+    each group's right vectors.
 
     Each group maximizes the Jeffreys-penalized likelihood, which exists
     even under perfect separation, by Fisher then exact Newton steps on all
@@ -178,19 +173,21 @@ def fit_glm(
     ----------
     y : ndarray of shape (N,)
         Response; in {0, 1} for binomial-logit.
-    F0 : ndarray of shape (N, k)
-        Designs of full column rank (pre-reduce rank-deficient designs),
-        stacked by rows as described in the module docstring.
+    F : ndarray of shape (N, k)
+        Designs stacked by rows as described in the module docstring, read
+        without a copy if its columns are contiguous.
     family : Family
         Binomial-logit.
     layout : GroupLayout, optional
         The groups' row blocks. None fits all rows as one group, checks
-        that ``F0`` has full column rank, unwraps the result to that group,
+        that ``F`` has full column rank, unwraps the result to that group,
         and raises ConvergenceError (carrying the last iterate) if it did
         not converge.
-    ranks : ndarray of shape (M,), optional
-        Columns of each group's design; the remaining columns are zero
-        padding. Defaults to k.
+    V : ndarray of shape (M, k, k), optional
+        Each group's orthonormal right vectors spanning the row space of its
+        design, zero columns (the padded directions) last, as from
+        :func:`~hiermoment.linalg.compact_svd`; the result is in this frame.
+        Defaults to the identity.
 
     Returns
     -------
@@ -200,23 +197,35 @@ def fit_glm(
         raise ValueError("gaussian fits are closed form in the SVD frame of "
                          "the design; fit_glm fits binomial-logit groups only")
     y = np.asarray(y, dtype=float)
-    F0 = np.asarray(F0, dtype=float)
-    n, k = F0.shape
+    F = np.asarray(F, dtype=float)
+    n, k = F.shape
     if y.shape != (n,) or (layout is not None and layout.offsets[-1] != n):
         raise ValueError(f"response length {y.shape} or group rows do not "
                          f"match design rows {n}")
     if k < 1:
         raise ValueError("design has no columns")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(F0))):
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(F))):
         raise ValueError("non-finite values in response or design")
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("binomial-logit response must be 0/1")
-    if layout is not None:
-        return _firth(y, F0, layout, _pad(layout, k, ranks))
-    if np.linalg.matrix_rank(F0) < k:
+    if layout is None and np.linalg.matrix_rank(F) < k:
         raise ValueError("design is rank deficient; reduce it first")
-    fit = _firth(y, F0, GroupLayout([0, n]), np.zeros((1, k), dtype=bool))
-    one = GlmFit(coef=fit.coef[0], information=fit.information[0],
+    M = 1 if layout is None else layout.sizes.size
+    V = np.broadcast_to(np.eye(k), (M, k, k)) if V is None \
+        else np.asarray(V, dtype=float)
+    pad = ~V.any(axis=1)  # (M, k): True in each group's padded directions
+    short = pad.any(axis=1)
+    null = np.zeros((M, k, k))
+    null[short] = sym(np.eye(k) - V[short] @ V[short].swapaxes(1, 2))
+    fit = _firth(y, F, GroupLayout([0, n]) if layout is None else layout, null)
+    Vt = V.swapaxes(1, 2)
+    coef = (Vt @ fit.coef[:, :, None])[:, :, 0]
+    info = sym(Vt @ fit.information @ V)
+    info[:, np.arange(k), np.arange(k)] += pad
+    if layout is not None:
+        return GlmFit(coef=coef, information=info, converged=fit.converged,
+                      iterations=fit.iterations)
+    one = GlmFit(coef=coef[0], information=info[0],
                  converged=bool(fit.converged[0]), iterations=fit.iterations)
     if not one.converged:
         raise ConvergenceError(
@@ -227,8 +236,8 @@ def fit_glm(
     return one
 
 
-def _information(F, w, layout, pad):
-    """Each group's ``F' diag(w) F``, with the identity in the padded block."""
+def _information(F, w, layout, null):
+    """Each group's ``F' diag(w) F`` plus its stack entry ``null``."""
     k = F.shape[1]
     Ft = np.ascontiguousarray(F.T)
 
@@ -238,18 +247,16 @@ def _information(F, w, layout, pad):
         out *= w[lo:hi]
         return out.T
 
-    info = _unpack(layout.sums(_n_sym(k, 2), terms), k, 2)
-    info[:, np.arange(k), np.arange(k)] += pad
-    return info
+    return _unpack(layout.sums(_n_sym(k, 2), terms), k, 2) + null
 
 
-def _penalized(y, F, layout, pad, coef):
-    """Mean, working weight, information (identity in the padded block) and
-    penalized log likelihood of each group at ``coef``."""
+def _penalized(y, F, layout, null, coef):
+    """Mean, working weight, information (plus ``null``) and penalized log
+    likelihood of each group at ``coef``."""
     eta = layout.row_dot(F, coef)
     mu = expit(eta)
     w = np.clip(mu * (1.0 - mu), _MU_EPS, None)
-    info = _information(F, w, layout, pad)
+    info = _information(F, w, layout, null)
     ll = np.add.reduceat(y * eta - np.logaddexp(0.0, eta), layout.starts)
     return mu, w, info, ll + 0.5 * _logdet_pd(info)
 
@@ -317,11 +324,11 @@ def _newton_step(y, F, layout, mu, w, info, exact):
     return score, np.linalg.solve(neg, score[:, :, None])[:, :, 0]
 
 
-def _firth(y, F, layout, pad):
-    M, k = pad.shape
+def _firth(y, F, layout, null):
+    M, k = null.shape[:2]
     Ft = np.ascontiguousarray(F.T)  # the row kernels read rows along axis 1
     coef = np.zeros((M, k))
-    mu, w, info, objective = _penalized(y, Ft.T, layout, pad, coef)
+    mu, w, info, objective = _penalized(y, Ft.T, layout, null, coef)
     converged = np.zeros(M, dtype=bool)
     active = np.arange(M)
     passes = 0
@@ -341,7 +348,7 @@ def _firth(y, F, layout, pad):
             groups = active[trial]
             sub, rows = layout.take(groups)
             t_mu, t_w, t_info, t_obj = _penalized(
-                y[rows], Ft.take(rows, 1).T, sub, pad[groups],
+                y[rows], Ft.take(rows, 1).T, sub, null[groups],
                 coef[groups] + step[trial])
             ok = (t_obj >= objective[groups]
                   - _HALVING_SLACK * np.abs(objective[groups]))

@@ -7,10 +7,11 @@ the blocks of its :class:`~hiermoment.data.GroupLayout`: one stacked
 :func:`compact_svd` call (an R-SVD bucketed by exact row count) reduces
 every group's ``[X Z y]`` rows, and a gaussian group's fit and Pearson
 dispersion are closed form in the result. The logit groups of nonzero rank
-are the layout's ``take``, fitted by one call whose Fisher information at
-each group's fit is that group's plug-in precision (see
-:mod:`hiermoment.families`). No loop runs over groups, and each
-group's result depends on its own rows only. The summaries are written
+are the layout's ``take`` of their own ``[X Z]`` rows, fitted by one call
+that takes each group's right vectors V and returns the fit in V's frame;
+the Fisher information at each group's fit is its plug-in precision (see
+:mod:`hiermoment.families`). No loop runs over groups, and each group's
+result depends on its own rows only. The summaries are written
 straight into zero-padded stacks ordered by group id, so every population
 sum over groups is one array operation; per-group :class:`GroupSummary`
 views are built on demand.
@@ -32,7 +33,7 @@ from .errors import (
     ZeroRankError,
 )
 from .families import Family, fit_glm, singular_precision
-from .linalg import compact_svd, rotated_design, sym
+from .linalg import compact_svd, sym
 
 __all__ = [
     "GroupSummary",
@@ -163,10 +164,11 @@ def summarize_groups(dataset: GroupedDataset, family: Family):
     gaussian group with factors ``F = U diag(d) V'`` has the closed-form
     fit ``theta = U'y / d`` in its SVD frame, Pearson dispersion
     ``rss / (n - r)`` and precision ``diag(d^2)``, with no row pass. Logit
-    groups' rotated designs ``F0 = F V`` (zero-padded to k = p + q columns)
-    are built in one array over the layout's ``take`` of those groups and
-    fitted together by one Firth-penalized :func:`fit_glm` call, whose
-    information at each group's fit is its plug-in precision.
+    groups' ``[X Z]`` rows, the layout's ``take`` of those groups, are
+    gathered into one (k, N) array and fitted together, with their V, by
+    one Firth-penalized :func:`fit_glm` call. Its coefficients and
+    information come back in each group's V frame, and the information at
+    each group's fit is its plug-in precision.
 
     Returns
     -------
@@ -196,8 +198,11 @@ def summarize_groups(dataset: GroupedDataset, family: Family):
         np.divide(svd.rss[kept], n - r, out=dispersion, where=n > r)
     elif kept.size:
         sub, rows = layout.take(kept)
-        F0 = rotated_design((dataset.X, dataset.Z), svd.V[kept], sub, rows)
-        fit = fit_glm(dataset.y[rows], F0, family, layout=sub, ranks=r)
+        # [X Z]' of the kept (in-range) rows; "clip" does not buffer out
+        Ft = np.empty((k, rows.size))
+        dataset.X.T.take(rows, axis=1, out=Ft[:dataset.p], mode="clip")
+        dataset.Z.T.take(rows, axis=1, out=Ft[dataset.p:], mode="clip")
+        fit = fit_glm(dataset.y[rows], Ft.T, family, layout=sub, V=svd.V[kept])
         theta, precision = fit.coef, fit.information
         for j in np.flatnonzero(~fit.converged).tolist():
             reasons[int(kept[j])] = ConvergenceError(
@@ -214,8 +219,8 @@ def summarize_groups(dataset: GroupedDataset, family: Family):
     # skipped logit group's precision may be singular, and sorting a stack
     # built earlier would copy it.
     if gaussian:
-        d2 = np.where(pad[sel], 1.0, d[sel] * d[sel])
-        precision, precision_inv = _diagonal(d2), _diagonal(1.0 / d2)
+        d2 = np.where(pad[sel], 1.0, d[sel] * d[sel])[:, :, None]
+        precision, precision_inv = d2 * np.eye(k), np.eye(k) / d2
     else:
         precision = precision[sel]
         precision_inv = sym(np.linalg.inv(precision))
@@ -223,12 +228,6 @@ def summarize_groups(dataset: GroupedDataset, family: Family):
                 dispersion=dispersion[sel], V=svd.V[kept[sel]],
                 theta=theta[sel], precision=precision,
                 precision_inv=precision_inv), skipped
-
-
-def _diagonal(values):
-    """The stack of diagonal matrices with the rows of ``values`` (M, k) on
-    their diagonals."""
-    return values[:, :, None] * np.eye(values.shape[1])
 
 
 def pool_dispersion(n, r, dispersion, family: Family) -> float:

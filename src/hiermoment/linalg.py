@@ -19,8 +19,11 @@ __all__ = [
     "SymKronOperator",
     "compact_svd",
     "psd_project",
-    "rotated_design",
 ]
+
+# Relative condition threshold beyond which the Gram operators are treated as
+# singular (identifiability failure) rather than inverted.
+EPS_SING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,21 +124,6 @@ def compact_svd(F, y: np.ndarray, layout: GroupLayout) -> CompactSvd:
     return CompactSvd(d=d, V=V, r=r, c=c, rss=rss)
 
 
-def rotated_design(blocks, V, layout: GroupLayout, rows) -> np.ndarray:
-    """The designs ``[blocks] @ V[i]`` of the groups of ``layout``, whose
-    rows are ``rows`` of the ``blocks`` side by side (``GroupLayout.take``
-    gives both), in one new array with contiguous columns (Fortran order),
-    as :mod:`hiermoment.families` reads them. Each row is multiplied by its
-    group's V, ``_SVD_CHUNK`` entries of gathered V at a time."""
-    gid, step = layout.row_group(), max(1, _SVD_CHUNK // V[0].size)
-    out = np.empty((V.shape[2], rows.size)).T
-    for lo in range(0, rows.size, step):
-        src, g = rows[lo:lo + step], gid[lo:lo + step]
-        F = np.concatenate([b[src] for b in blocks], axis=1)
-        out[lo:lo + src.size] = np.einsum("nj,njl->nl", F, V[g])
-    return out
-
-
 def sym(S: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return (S + S.swapaxes(-1, -2)) / 2.0
@@ -207,11 +195,12 @@ class SymKronOperator:
     def min_eig(self) -> float:
         return float(self._w[0])
 
-    def solve(self, rhs: np.ndarray, eps_sing: float = 1e-12) -> np.ndarray:
-        """Solve ``sum_m A_m S A_m = rhs`` for symmetric S."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``sum_m A_m S A_m = rhs`` for symmetric S; raises
+        SingularOmega2Error past the condition threshold ``EPS_SING``."""
         w, Q = self._w, self._Q
         amax, amin = float(np.abs(w).max()), float(np.abs(w).min())
-        if amax <= 0.0 or amin <= eps_sing * amax:
+        if amax <= 0.0 or amin <= EPS_SING * amax:
             raise SingularOmega2Error(
                 "reduced symmetric-space operator is numerically singular "
                 f"(|eig| range [{amin:.3e}, {amax:.3e}]); the random-effect "

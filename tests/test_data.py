@@ -199,6 +199,18 @@ class TestChecks:
         with pytest.raises(ValueError):
             GroupedDataset([g], p=1, q=1)
 
+    def test_no_fixed_or_no_random_column_rejected(self):
+        """p = 0 or q = 0 would reach the fit and fail there with an
+        IndexError; both constructors refuse it by name."""
+        y, one, none = np.arange(4.0), np.ones((4, 1)), np.ones((4, 0))
+        for X, Z in [(none, one), (one, none)]:
+            p, q = X.shape[1], Z.shape[1]
+            match = f"got p = {p}, q = {q}"
+            with pytest.raises(ValueError, match=match):
+                GroupedDataset.from_long(y, X, Z, [0, 0, 1, 1])
+            with pytest.raises(ValueError, match=match):
+                GroupedDataset([GroupData(0, y, X, Z)], p, q)
+
     def test_mixed_id_types_rejected(self):
         """numpy would read [1, "1", 2, "a"] as four strings and merge the
         int 1 with the str "1"; a list of ids of two types is refused."""

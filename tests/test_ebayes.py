@@ -18,7 +18,12 @@ import pytest
 
 from hiermoment.combine import fit_moment
 from hiermoment.data import GroupedDataset
-from hiermoment.ebayes import posterior, posterior_set, predict_grouped
+from hiermoment.ebayes import (
+    PosteriorSet,
+    posterior,
+    posterior_set,
+    predict_grouped,
+)
 from hiermoment.families import GAUSSIAN
 from hiermoment.groups import GroupSummary, build_summary_set
 
@@ -240,3 +245,17 @@ class TestPrediction:
         np.testing.assert_allclose(mu[1], np.ones(2) * fit.beta[0], rtol=1e-12)
         u0 = pset.means[pset.rows([0])[0]]
         np.testing.assert_allclose(mu[0], fit.beta[0] + u0[0], rtol=1e-12)
+
+    def test_posterior_width_must_match_z(self):
+        """Posteriors of q = 1 on a dataset of q = 2 would ignore Z[:, 1],
+        and q = 2 on q = 1 would index past Z: both are refused, naming the
+        two widths."""
+        ids = [0, 0, 1, 1]
+        for have, need in [(1, 2), (2, 1)]:
+            post = PosteriorSet((0, 1), np.ones((2, have)),
+                                np.ones((2, have, have)))
+            new = GroupedDataset.from_long(np.zeros(4), np.ones((4, 1)),
+                                           np.ones((4, need)), ids)
+            with pytest.raises(ValueError, match=f"width {have} for a "
+                                                 f"design of width {need}"):
+                predict_grouped(new, np.zeros(1), post, GAUSSIAN)

@@ -43,14 +43,18 @@ def test_removed_forms_not_exported(name):
 
 
 def test_removed_knobs_and_fields():
-    """The SVD rank rule and the number of semi-weighted refits are
-    constants, not parameters; the Firth fit carries its information, not a
-    deviance or per-row fitted means; and a family has no variance
-    function."""
+    """The SVD rank rule, the number of semi-weighted refits and the
+    singularity threshold of the covariance solve are constants, not
+    parameters; the Firth fit takes each group's right vectors, not its
+    rank, and carries its information, not a deviance or per-row fitted
+    means; and a family has no variance function."""
     def params(f):
         return list(inspect.signature(f).parameters)
 
     assert params(linalg.compact_svd) == ["F", "y", "layout"]
+    assert params(linalg.SymKronOperator.solve) == ["self", "rhs"]
+    assert combine.EPS_SING is linalg.EPS_SING
+    assert params(families.fit_glm) == ["y", "F", "family", "layout", "V"]
     assert params(groups.summarize_groups) == ["dataset", "family"]
     assert params(groups.build_summary_set) == ["dataset", "family"]
     assert [f.name for f in dataclasses.fields(combine.FitOptions)] == [

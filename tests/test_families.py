@@ -183,7 +183,8 @@ class TestFirthFit:
     @staticmethod
     def _mixed_rank_stack():
         """Groups of every awkward shape, zero-padded to k = 4 columns: the
-        cases, layout, ranks, stacked design and response."""
+        cases, layout, right vectors ``I_r (+) 0``, stacked design and
+        response."""
         rng = np.random.default_rng(31)
         x = rng.normal(size=8)
         cases = [  # (design, response)
@@ -201,13 +202,14 @@ class TestFirthFit:
         for lo, (F, _) in zip(layout.starts, cases):
             F0[lo:lo + F.shape[0], :F.shape[1]] = F
         y = np.concatenate([v for _, v in cases])
-        return cases, layout, ranks, F0, y
+        V = np.eye(4) * (np.arange(4) < ranks[:, None])[:, None, :]
+        return cases, layout, V, F0, y
 
     def test_stacked_mixed_ranks_match_optimizer(self):
         """One stacked fit of groups of every awkward shape matches a
         per-group BFGS fit, and padded coefficients are exactly 0."""
-        cases, layout, ranks, F0, y = self._mixed_rank_stack()
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, ranks=ranks)
+        cases, layout, V, F0, y = self._mixed_rank_stack()
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, V=V)
         assert fit.converged.all()
         for i, (F, v) in enumerate(cases):
             r = F.shape[1]
@@ -218,9 +220,9 @@ class TestFirthFit:
     def test_stacked_information_is_plugin_precision(self):
         """Each group's information is ``F0' diag(mu (1 - mu)) F0`` at its
         own fit, with the identity in the padded block and 0 across it."""
-        cases, layout, ranks, F0, y = self._mixed_rank_stack()
-        fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, ranks=ranks)
-        k = F0.shape[1]
+        cases, layout, V, F0, y = self._mixed_rank_stack()
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, V=V)
+        k, ranks = F0.shape[1], [F.shape[1] for F, _ in cases]
         assert fit.information.shape == (len(cases), k, k)
         for i, (lo, r) in enumerate(zip(layout.starts, ranks)):
             F = F0[lo:lo + cases[i][0].shape[0], :r]
@@ -231,6 +233,20 @@ class TestFirthFit:
                                        atol=1e-14 * np.abs(expected).max())
             assert np.array_equal(P[r:, r:], np.eye(k - r))
             assert not P[:r, r:].any() and not P[r:, :r].any()
+
+    def test_identity_frame_is_the_padded_fit_bitwise(self):
+        """With V = I_r (+) 0 the null-space stack is the identity in the
+        padded block and the final rotation is exact, so the fit is bitwise
+        the solver's fit of the zero-padded designs with that identity
+        added to their information."""
+        cases, layout, V, F0, y = self._mixed_rank_stack()
+        fit = fit_glm(y, F0, BINOMIAL_LOGIT, layout=layout, V=V)
+        pad = ~V.any(axis=1)
+        ref = families._firth(y, F0, layout, pad[:, :, None] * np.eye(4))
+        assert np.array_equal(fit.coef, ref.coef)
+        assert np.array_equal(fit.information, ref.information)
+        assert np.array_equal(fit.converged, ref.converged)
+        assert fit.iterations == ref.iterations
 
     def test_finite_under_random_separation(self):
         """On separated data the penalized estimate stays moderate, though
@@ -296,20 +312,21 @@ class TestFirthFit:
         before the Fisher warm-up)."""
         calls = []
 
-        def spy(y, F0, family, layout=None, ranks=None, **kw):
-            fit = fit_glm(y, F0, family, layout=layout, ranks=ranks, **kw)
-            calls.append((y, F0, layout, ranks, fit))
+        def spy(y, F, family, layout=None, V=None):
+            fit = fit_glm(y, F, family, layout=layout, V=V)
+            calls.append((y, F, layout, V, fit))
             return fit
 
         monkeypatch.setattr(groups, "fit_glm", spy)
         ds, _ = gen_replicate(600, 12000, 3, 3, BINOMIAL_LOGIT, seed=1)
         fit_moment(ds, BINOMIAL_LOGIT)
-        (y, F0, layout, ranks, fit), = calls
+        (y, XZ, layout, V, fit), = calls
         assert fit.converged.all()
         assert fit.iterations <= 10
-        for lo, hi, r, coef in zip(layout.offsets[:-1], layout.offsets[1:],
-                                   ranks, fit.coef):
-            F, v = F0[lo:hi, :r], y[lo:hi]
+        ranks = V.any(axis=1).sum(axis=1)
+        for lo, hi, r, Vi, coef in zip(layout.offsets[:-1], layout.offsets[1:],
+                                       ranks, V, fit.coef):
+            F, v = XZ[lo:hi] @ Vi[:, :r], y[lo:hi]
             mu = expit(F @ coef[:r])
             W = mu * (1 - mu)
             h = np.einsum("ij,ji->i", F * W[:, None],
@@ -326,9 +343,9 @@ class TestChunkInvariance:
     def _stack(monkeypatch, M, N, seed):
         calls = []
 
-        def spy(y, F0, family, layout=None, ranks=None):
-            fit = fit_glm(y, F0, family, layout=layout, ranks=ranks)
-            calls.append((y, F0, layout, ranks, fit))
+        def spy(y, F, family, layout=None, V=None):
+            fit = fit_glm(y, F, family, layout=layout, V=V)
+            calls.append((y, F, layout, V, fit))
             return fit
 
         monkeypatch.setattr(groups, "fit_glm", spy)
@@ -341,9 +358,9 @@ class TestChunkInvariance:
         (600, 12000, 5, False), (60, 60000, 6, True)],
         ids=["small_groups", "groups_over_one_block"])
     def test_subsets_match_the_full_fit(self, monkeypatch, M, N, seed, long):
-        y, F0, layout, ranks, fit = self._stack(monkeypatch, M, N, seed)
+        y, F, layout, V, fit = self._stack(monkeypatch, M, N, seed)
         # rows of one block of the widest (exact Newton) sums
-        k = F0.shape[1]
+        k = F.shape[1]
         block = data._BLOCK_ENTRIES // (k + math.comb(k + 1, 2)
                                         + math.comb(k + 2, 3))
         assert (layout.sizes > block).any() == long
@@ -355,10 +372,46 @@ class TestChunkInvariance:
         subsets += [np.sort(subsets[2]), rng.permutation(M)]
         for g in subsets:
             sub, rows = layout.take(g)
-            part = fit_glm(y[rows], F0[rows], BINOMIAL_LOGIT, layout=sub,
-                           ranks=ranks[g])
+            part = fit_glm(y[rows], F[rows], BINOMIAL_LOGIT, layout=sub,
+                           V=V[g])
             assert np.array_equal(part.coef, fit.coef[g])
             assert np.array_equal(part.converged, fit.converged[g])
+
+
+class TestFrameOracle:
+    """The stacked fit reads each group's own [X Z] rows and rotates into
+    its V frame once, at the end. Each summarized group's theta and
+    precision match a one-group fit on ``[X Z] V[:, :r]``, built here, and
+    its padded entries are exactly 0 and exactly the identity."""
+
+    @pytest.mark.parametrize("aliased", [False, True],
+                             ids=["own_columns", "z_is_x12"])
+    def test_summaries_match_one_group_fits_in_the_v_frame(self, aliased):
+        ds, _ = gen_replicate(300, 1500, 3, 3, BINOMIAL_LOGIT, seed=4)
+        X, Z = ds.X, ds.X[:, :2] if aliased else ds.Z
+        ds = data.GroupedDataset.from_long(ds.y, X, Z,
+                                           np.repeat(ds.ids, ds.sizes))
+        k = ds.p + ds.q
+        columns, skipped = groups.summarize_groups(ds, BINOMIAL_LOGIT)
+        assert (ds.sizes < k).sum() > 100 and not skipped
+        # With Z = X[:, :2] every group's [X Z] is rank deficient.
+        assert (columns["r"] < k).all() if aliased \
+            else (columns["r"] == k).any()
+        rows = dict(zip(ds.ids, ds.layout.split(np.arange(ds.n_obs))))
+        F, scale = np.hstack([X, Z]), np.abs(columns["theta"]).max()
+        for gid, r, V, theta, P in zip(columns["ids"], columns["r"],
+                                       columns["V"], columns["theta"],
+                                       columns["precision"]):
+            j = rows[gid]
+            ref = fit_glm(ds.y[j], F[j] @ V[:, :r], BINOMIAL_LOGIT)
+            np.testing.assert_allclose(theta[:r], ref.coef, rtol=0,
+                                       atol=1e-10 * scale)
+            np.testing.assert_allclose(
+                P[:r, :r], ref.information, rtol=0,
+                atol=1e-10 * np.abs(ref.information).max())
+            assert not theta[r:].any()
+            assert np.array_equal(P[r:, r:], np.eye(k - r))
+            assert not P[:r, r:].any() and not P[r:, :r].any()
 
 
 class TestSmallMatrixPaths:
@@ -386,7 +439,7 @@ class TestSmallMatrixPaths:
         layout = GroupLayout([0, 4, 7, 12])
         coef = np.array([[0.2, -0.1], [0.3, 0.5], [-0.4, 0.2]])
         mu, w, info, objective = families._penalized(
-            y, F, layout, np.zeros((3, 2), dtype=bool), coef)
+            y, F, layout, np.zeros((3, 2, 2)), coef)
         eta = np.einsum("nj,nj->n", F, np.repeat(coef, [4, 3, 5], axis=0))
         ll = np.add.reduceat(y * eta - np.log1p(np.exp(eta)), [0, 4, 7])
         with pytest.raises(np.linalg.LinAlgError):

@@ -20,7 +20,6 @@ from hiermoment.linalg import (
     compact_svd,
     eigen_floor,
     psd_project,
-    rotated_design,
     sym_sqrt,
 )
 
@@ -271,22 +270,6 @@ class TestCompactSvd:
         np.testing.assert_allclose(svd.V[0] @ (svd.c[0] / svd.d[0]), beta,
                                    rtol=1e-10)
         assert svd.rss[0] == pytest.approx(res[0], rel=1e-10)
-
-
-class TestRotatedDesign:
-    def test_each_group_times_its_v(self):
-        rng = np.random.default_rng(109)
-        sizes = np.array([3, 1, 3, 20000, 2])
-        layout = GroupLayout(np.append(0, np.cumsum(sizes)))
-        starts = layout.starts
-        X, Z = rng.normal(size=(sizes.sum(), 2)), rng.normal(size=(sizes.sum(), 3))
-        V = rng.normal(size=(sizes.size, 5, 5))
-        keep = np.array([0, 2, 3, 4])
-        F0 = rotated_design((X, Z), V[keep], *layout.take(keep))
-        assert F0.shape == (sizes[keep].sum(), 5) and F0.flags.f_contiguous
-        ref = np.vstack([np.hstack([X, Z])[starts[i]:starts[i] + sizes[i]]
-                         @ V[i] for i in keep])
-        np.testing.assert_allclose(F0, ref, rtol=1e-14, atol=1e-14)
 
 
 class TestPsdProject:
