@@ -3,6 +3,7 @@ global/local baseline fitters, and replicate studies."""
 
 from __future__ import annotations
 
+import operator
 import time
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -130,10 +131,23 @@ def _group_keys(base: tuple, M: int) -> list:
     return np.stack([w0 | w1 << 32, w2 | w3 << 32], axis=1).tolist()
 
 
+def _index(name: str, value) -> int:
+    """``value`` as an int (a Python or numpy integer, not a bool)."""
+    if not isinstance(value, (bool, np.bool_)):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _entropy(seed) -> tuple:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(v) for v in seed)
-    return (int(seed),)
+    words = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(_index("seed", v) for v in words)
+
+
+# Signs turned into X and Z columns at one time: a chunk is the groups whose
+# signs start within one budget's span, so it holds fewer than this many
+# entries plus its last group's.
+_CHUNK_ENTRIES = 1 << 16
 
 
 def gen_replicate(
@@ -152,32 +166,50 @@ def gen_replicate(
     entries are +/-1 with equal probability; responses are Bernoulli through
     the logit link, or gaussian with unit noise variance.
 
-    ``seed`` is a non-negative int or a tuple of them (a negative one raises
-    ``ValueError``). Streams are split per replicate and per group, so
-    results do not depend on execution order:
+    M, N, p, q and ``seed`` are integers (numpy integers too; anything else,
+    a bool included, raises ``TypeError``); ``seed`` is a non-negative int
+    or a tuple of them (a negative one raises ``ValueError``). Streams are
+    split per replicate and per group, so results do not depend on
+    execution order:
 
     - beta, Sigma and the group sizes come from
       ``Philox(SeedSequence((*seed, 0)))``;
     - group i draws from Philox with the key
       ``SeedSequence((*seed, 1, i)).generate_state(2, np.uint64)`` and the
       counter at 0, in this order: q normals for its random effect, its
-      n (p + q) signs in one ``integers(0, 2)`` call (X row by row, then Z),
-      and n normals (gaussian) or n uniforms (logit) for its responses.
+      n (p + q) signs (X row by row, then Z), and n normals (gaussian) or
+      n uniforms (logit) for its responses.
+
+    The signs are those of one ``integers(0, 2)`` call, which is Lemire's
+    bounded draw on one 32-bit half of a raw 64-bit word, low half first:
+    its result is that half's top bit. So each group takes ceil(n (p + q) /
+    2) raw words and sign j is bit 31 (j even) or bit 63 (j odd) of word
+    j // 2; the stream order is that of the ``integers`` call.
 
     Philox is counter-based, so re-keying one bit generator per group gives
     the same draws as a new generator per group. The keys of all M groups
     are hashed in one pass of uint32 array operations (a port of
-    SeedSequence's hash), not by M SeedSequence objects. The rows are in
-    ascending group order.
+    SeedSequence's hash), not by M SeedSequence objects. The per-group loop
+    makes only the stream calls; the signs, X, Z, mu and y are built by
+    array passes over chunks of whole groups (``_CHUNK_ENTRIES``), so the
+    memory they hold at one time is bounded. mu sums X beta and Z u_i
+    column by column: with p, q <= 3 that is bit for bit the per-group BLAS
+    product of earlier versions, and with more columns it may differ from
+    it in the last bit. The rows are in ascending group order.
     """
+    M, N, p, q = (_index(name, v) for name, v in
+                  zip("MNpq", (M, N, p, q)))
     if min(M, N, p, q) < 1:
         raise ValueError("M, N, p, q must all be >= 1")
     base = _entropy(seed)
     pop_rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((*base, 0))))
     # Counter 0 and empty buffers: each group sets its key into this state.
+    # Lists in place of its uint64 arrays halve the setter's cost.
     bit_generator = pop_rng.bit_generator
     fresh = bit_generator.state
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
 
     beta = pop_rng.standard_t(4, size=p)
     df = 2 * q
@@ -199,30 +231,68 @@ def gen_replicate(
     y, mu = np.empty(N), np.empty(N)
     X, Z = np.empty((N, p)), np.empty((N, q))
     gaussian = family.name == "gaussian"
-    stop = 0
-    for i, (key, n) in enumerate(zip(_group_keys(base, M), n_alloc.tolist())):
-        fresh["state"]["key"] = key
-        bit_generator.state = fresh
-        u[i] = chol @ pop_rng.standard_normal(q)
-        if n == 0:
-            continue
-        start, stop = stop, stop + n
-        signs = 2.0 * pop_rng.integers(0, 2, size=n * (p + q)) - 1.0
-        X_i, Z_i = X[start:stop], Z[start:stop]
-        X_i[...] = signs[:n * p].reshape(n, p)
-        Z_i[...] = signs[n * p:].reshape(n, q)
+    normal, random_raw = pop_rng.standard_normal, bit_generator.random_raw
+    draw = normal if gaussian else pop_rng.random
+    keys = _group_keys(base, M)
+    nwords = -(-n_alloc * (p + q) // 2)
+    word_offsets = np.append(0, np.cumsum(nwords))
+    row_offsets = np.append(0, np.cumsum(n_alloc))
+    cuts = np.flatnonzero(np.diff(2 * word_offsets[:-1] // _CHUNK_ENTRIES))
+    cuts = [0, *(cuts + 1).tolist(), M]
+    words = np.empty(np.diff(word_offsets[cuts]).max(), np.uint64)
+    for g0, g1 in zip(cuts[:-1], cuts[1:]):
+        bounds = row_offsets[g0:g1 + 1].tolist()
+        filled = 0
+        for key, u_i, nw, y_i in zip(
+                keys[g0:g1], u[g0:g1], nwords[g0:g1].tolist(),
+                map(y.__getitem__, map(slice, bounds[:-1], bounds[1:]))):
+            fresh["state"]["key"] = key
+            bit_generator.state = fresh
+            np.dot(chol, normal(q), out=u_i)
+            if nw:
+                words[filled:filled + nw] = random_raw(nw)
+                filled += nw
+                draw(out=y_i)
+        n = n_alloc[g0:g1]
+        sub = GroupLayout(np.append(0, np.cumsum(n[n > 0])))
+        rows = slice(bounds[0], bounds[-1])
+        _fill_chunk(words[:filled], sub.sizes, X[rows], Z[rows])
+        # Column by column, left to right, as row_dot sums Z u: each row's
+        # rounding depends neither on the BLAS nor on where the row sits.
+        eta = X[rows, 0] * beta[0]
+        for j in range(1, p):
+            eta += X[rows, j] * beta[j]
+        eta += sub.row_dot(Z[rows], u[g0:g1][n > 0])
         if gaussian:
-            mu_i = np.add(X_i @ beta, Z_i @ u[i], out=mu[start:stop])
-            np.add(mu_i, pop_rng.standard_normal(n), out=y[start:stop])
+            mu[rows] = eta
+            y[rows] += eta
         else:
-            mu_i = mu[start:stop]
-            mu_i[...] = expit(X_i @ beta + Z_i @ u[i])
-            y[start:stop] = pop_rng.random(n) < mu_i
+            mu[rows] = expit(eta)
+            y[rows] = y[rows] < mu[rows]
+    del keys  # about 150 B a group, freed before the dataset's checks
     layout = GroupLayout(np.append(0, np.cumsum(n_alloc[n_alloc > 0])))
     dataset = GroupedDataset._from_columns(
         y, X, Z, tuple(np.flatnonzero(n_alloc).tolist()), layout, p, q)
     truth = SimTruth(beta=beta, Sigma=Sigma, u=u, mu=mu, n_alloc=n_alloc)
     return dataset, truth
+
+
+def _fill_chunk(words, n, X, Z):
+    """Write the ±1 entries of a chunk's groups, of sizes ``n``, into X and
+    Z from their raw words: each group's words hold its X entries row by
+    row, then its Z entries, and one unused half when n (p + q) is odd."""
+    signs = np.empty((words.size, 2), np.int8)
+    signs[:, 0] = words >> 31 & 1
+    signs[:, 1] = words >> 63
+    signs *= 2
+    signs -= 1
+    p, q = X.shape[1], Z.shape[1]
+    spans = np.stack([n * p, n * q, -(n * (p + q)) % 2], axis=1)
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n.size),
+                     spans.ravel())
+    signs = signs.ravel()
+    X[...] = signs[part == 0].reshape(-1, p)
+    Z[...] = signs[part == 1].reshape(-1, q)
 
 
 def _pred_loss(truth: SimTruth, mu_hat: np.ndarray, family: Family) -> float:

@@ -24,7 +24,8 @@ from hiermoment.cli import main
 from hiermoment.combine import FitOptions, fit_moment
 from hiermoment.data import GroupedDataset
 from hiermoment.ebayes import posterior_set
-from hiermoment.families import GAUSSIAN
+from hiermoment.families import GAUSSIAN, get_family
+from hiermoment.simulate import gen_replicate
 
 
 def _write_csv(path, header, rows):
@@ -671,6 +672,26 @@ class TestErrorPaths:
         assert rc == 3
         err = capsys.readouterr().err
         assert "hint" in err
+
+    @pytest.mark.parametrize("family", ["gaussian", "logit"])
+    def test_all_zero_random_column_exits_3_with_hint(self, family, tmp_path,
+                                                      capsys):
+        ds, _ = gen_replicate(200, 4000, 2, 2, get_family(family), seed=3)
+        gids = np.repeat(ds.ids, ds.sizes)
+        rows = [[f"g{g}", *map(repr, x.tolist()), repr(z), "0.0", repr(v)]
+                for g, x, z, v in zip(gids.tolist(), ds.X,
+                                      ds.Z[:, 0].tolist(), ds.y.tolist())]
+        src, out = tmp_path / "d.csv", tmp_path / "o"
+        _write_csv(src, ["g", "x1", "x2", "z1", "z2", "y"], rows)
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--fixed-cols", "x1,x2",
+                   "--random-cols", "z1,z2", "--family", family,
+                   "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "does not identify all covariance components" in err
+        assert "hint: the model is not identifiable from this data" in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

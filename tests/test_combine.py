@@ -43,6 +43,7 @@ from hiermoment.errors import SingularOmega2Error, SingularOmegaError
 from hiermoment.families import BINOMIAL_LOGIT, GAUSSIAN, expit
 from hiermoment.groups import build_summary_set
 from hiermoment.linalg import sym, sym_sqrt
+from hiermoment.simulate import gen_replicate
 
 
 def one_way_dataset(group_values):
@@ -449,6 +450,18 @@ class TestStandardize:
 
 
 class TestFitMoment:
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_all_zero_z_column_is_unidentifiable(self, family):
+        """A random-effect column that is zero in every row leaves its
+        variance without information: the fit raises, it returns no NaN."""
+        ds, _ = gen_replicate(200, 4000, 2, 3, family, seed=3)
+        Z = ds.Z.copy()
+        Z[:, 1] = 0.0
+        with pytest.raises(SingularOmega2Error,
+                           match="does not identify all covariance"):
+            fit_moment(ds.with_columns(ds.X, Z), family)
+
     def test_one_way_anova_oracle(self):
         """Unweighted one-way fit matches the closed-form moment estimates."""
         rng = np.random.default_rng(13)

@@ -8,6 +8,7 @@ mu=0.8 against mu_hat=0.5 gives 2*(0.8 ln 1.6 + 0.2 ln 0.4) = 0.38551.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -158,22 +159,33 @@ def _reference_replicate(M, N, p, q, family, seed):
                      n_alloc=n_alloc))
 
 
+# (M, N, p, q, seed, chunk entries): a replicate of many chunks, with odd
+# n (p + q) so that groups leave a half word unused, and one whose largest
+# group holds more entries than a chunk.
+_CHUNK_CASES = [(40, 900, 2, 1, 7, 48), (12, 600, 2, 3, 5, 256)]
+
+
 class TestReplicateStreams:
     """gen_replicate re-keys one Philox per group and hashes every group's
     key at once; its draws must be those of one new generator per group."""
 
     @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
                              ids=["gaussian", "logit"])
-    @pytest.mark.parametrize("M, N, p, q, seed", [
-        (40, 900, 3, 3, 7),
-        (25, 300, 2, 2, (2**40 + 3, 1)),
-        (30, 250, 1, 2, (3, 1, 4, 1, 5)),
-        (12, 97, 2, 1, 5),
-        (60, 40, 2, 2, 11),
-        (3, 50, 2, 3, (0, 2**64 + 9)),
+    @pytest.mark.parametrize("M, N, p, q, seed, chunk", [
+        (40, 900, 3, 3, 7, None),
+        (25, 300, 2, 2, (2**40 + 3, 1), None),
+        (30, 250, 1, 2, (3, 1, 4, 1, 5), None),
+        (12, 97, 2, 1, 5, None),
+        (60, 40, 2, 2, 11, None),
+        (3, 50, 2, 3, (0, 2**64 + 9), None),
+        *_CHUNK_CASES,
     ], ids=["int_seed", "word_over_2_32", "five_ints", "odd_signs",
-            "zero_row_groups", "few_groups"])
-    def test_matches_per_group_reference(self, M, N, p, q, seed, family):
+            "zero_row_groups", "few_groups", "several_chunks",
+            "group_over_a_chunk"])
+    def test_matches_per_group_reference(self, M, N, p, q, seed, chunk,
+                                         family, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", chunk)
         ds, truth = gen_replicate(M, N, p, q, family, seed=seed)
         ref_ds, ref = _reference_replicate(M, N, p, q, family, seed)
         for name in ("y", "X", "Z"):
@@ -191,6 +203,96 @@ class TestReplicateStreams:
         assert np.any(odd.n_alloc * 3 % 2 == 1)
         _, sparse = gen_replicate(60, 40, 2, 2, GAUSSIAN, seed=11)
         assert np.any(sparse.n_alloc == 0)
+
+    def test_chunk_cases_reach_their_branches(self):
+        (M, N, p, q, seed, chunk), (M2, N2, p2, q2, seed2, chunk2) = \
+            _CHUNK_CASES
+        _, many = gen_replicate(M, N, p, q, GAUSSIAN, seed=seed)
+        entries = many.n_alloc * (p + q)
+        assert entries.sum() > 10 * chunk and np.any(entries % 2 == 1)
+        _, large = gen_replicate(M2, N2, p2, q2, GAUSSIAN, seed=seed2)
+        entries = large.n_alloc * (p2 + q2)
+        assert entries.max() > chunk2 and np.any(entries < chunk2 // 2)
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_wide_designs_keep_every_draw(self, family, monkeypatch):
+        """With p or q above 3, mu is summed column by column: every draw is
+        the reference's, and mu agrees to the rounding of a reordered sum
+        (the reference's per-group BLAS products round by the row's place
+        in its group). The replicate does not depend on the chunk budget."""
+        M, N, p, q, seed = 30, 700, 5, 4, 17
+        ref_ds, ref = _reference_replicate(M, N, p, q, family, seed)
+        runs = []
+        for chunk in (7, 300, 1 << 16):
+            monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", chunk)
+            runs.append(gen_replicate(M, N, p, q, family, seed=seed))
+        ds, truth = runs[-1]
+        for name in ("X", "Z"):
+            assert np.array_equal(getattr(ds, name), getattr(ref_ds, name))
+        for name in ("u", "beta", "Sigma", "n_alloc"):
+            assert np.array_equal(getattr(truth, name), getattr(ref, name))
+        # Each row's eta sums p + q terms of at most this total magnitude.
+        eps = np.finfo(float).eps
+        tol = (p + q) * eps * (np.abs(truth.beta).sum()
+                               + np.abs(truth.u).sum(axis=1).max())
+        np.testing.assert_allclose(truth.mu, ref.mu, rtol=0, atol=tol)
+        if family is BINOMIAL_LOGIT:
+            assert np.array_equal(ds.y, ref_ds.y)
+        else:
+            np.testing.assert_allclose(ds.y, ref_ds.y, rtol=0, atol=tol
+                                       + eps * np.abs(ref_ds.y).max())
+        for other_ds, other in runs[:-1]:
+            for name in ("y", "X", "Z"):
+                assert np.array_equal(getattr(other_ds, name),
+                                      getattr(ds, name))
+            assert np.array_equal(other.mu, truth.mu)
+
+    @pytest.mark.parametrize("args, name", [
+        ((3, 10, 1, 1, 1.5), "seed"),
+        ((3, 10, 1, 1, True), "seed"),
+        ((3, 10, 1, 1, (4, 2.0)), "seed"),
+        ((3, 10, 1, 1, np.True_), "seed"),
+        ((5.0, 100, 2, 2, 1), "M"),
+        ((5, 100.0, 2, 2, 1), "N"),
+        ((5, 100, "2", 2, 1), "p"),
+        ((5, 100, 2, False, 1), "q"),
+    ], ids=["float_seed", "bool_seed", "float_seed_word", "numpy_bool_seed",
+            "float_M", "float_N", "str_p", "bool_q"])
+    def test_non_integers_raise_type_error(self, args, name):
+        *sizes, seed = args
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            gen_replicate(*sizes, GAUSSIAN, seed=seed)
+
+    def test_numpy_integers_are_integers(self):
+        ds, truth = gen_replicate(np.int64(9), np.int32(120), np.uint8(2),
+                                  np.int16(2), GAUSSIAN,
+                                  seed=(np.uint64(2**63), np.int8(3)))
+        ref_ds, ref = gen_replicate(9, 120, 2, 2, GAUSSIAN, seed=(2**63, 3))
+        assert np.array_equal(ds.y, ref_ds.y)
+        assert np.array_equal(truth.u, ref.u)
+
+    def test_transient_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        """tracemalloc's peak during a call, less the arrays it returns,
+        stays under a bound set by the chunk budget plus a per-group
+        allowance; with the whole replicate as one chunk it does not."""
+        M, N = 1000, 200_000
+
+        def transient():
+            tracemalloc.start()
+            try:
+                ds, truth = gen_replicate(M, N, 3, 3, GAUSSIAN, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = (ds.y, ds.X, ds.Z, ds.layout.offsets, truth.u, truth.mu,
+                    truth.beta, truth.Sigma, truth.n_alloc)
+            return peak - sum(a.nbytes for a in kept)
+
+        bound = 48 * simulate._CHUNK_ENTRIES + 512 * M
+        assert transient() < bound
+        monkeypatch.setattr(simulate, "_CHUNK_ENTRIES", 6 * N)
+        assert transient() > bound
 
     def test_group_keys_match_seed_sequence(self):
         bases = [(0,), (7,), (2**32 - 1,), (2**32,), (2**40 + 3, 1),
