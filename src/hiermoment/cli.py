@@ -139,8 +139,8 @@ def _numeric_column(path, header, rows, col):
 def _parse_columns(path, select):
     """One numpy pass over the file's rows, or None where the cell-by-cell
     reader must judge the file: a decoding or parse error, a ragged row, a
-    blank line, a NUL character, a non-finite number, or a header that
-    ``select`` refuses."""
+    blank line, a NUL character, a non-finite number, a header that
+    ``select`` refuses, or one that repeats a column it names."""
     try:
         with open(path, newline="") as fh:
             raw = fh.read()
@@ -155,8 +155,8 @@ def _parse_columns(path, select):
             fh.seek(0)
             header = [h.strip() for h in next(csv.reader(fh))]
             numeric, text = select(header)
-            if not set(numeric + text) <= set(header) \
-                    or set(numeric) & set(text):
+            if set(numeric) & set(text) or any(
+                    header.count(name) != 1 for name in numeric + text):
                 return None
             # One field per header column, so that numpy checks each row's
             # width; a column not read is held as one character per cell.
@@ -185,7 +185,9 @@ def _read_columns(path, select):
     ``select(header)`` checks the header and names the columns wanted as
     ``(numeric, text)``: numeric columns come back as finite float arrays,
     text columns (the group ids) as object arrays of str, none of which
-    ends in a NUL character. One numpy pass reads the usual file. Whatever
+    ends in a NUL character. A wanted column that the header names more
+    than once is an error; other columns may repeat. One numpy pass reads
+    the usual file. Whatever
     it refuses is read again cell by cell, which raises the located error,
     or returns the values where ``float()`` accepts a cell that numpy does
     not (such as ``1_0``).
@@ -195,6 +197,10 @@ def _read_columns(path, select):
         return parsed
     header, rows = _read_table(path)
     numeric, text = select(header)
+    for name in numeric + text:
+        if header.count(name) > 1:
+            raise _InputError(f"{path}: column {name!r} appears more than "
+                              "once in the header")
     cols = {}
     for name in numeric:
         if name not in header:
@@ -264,7 +270,7 @@ def _write_fit_artifact(path, args, fit, fixed_names, random_names):
         f"random_cols: {','.join(random_names)}",
         f"n_groups: {len(sset.ids)}",
         f"n_obs: {sset.n_obs}",
-        f"rho: {fit.rho}",
+        f"rho: {sset.rho}",
         f"phi: {fit.phi!r}",
         f"projected: {str(fit.projected).lower()}",
         f"omega2_min_eig: {fit.omega2_min_eig!r}",
@@ -490,10 +496,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return _cmd_predict(args)
         return _cmd_simulate(args)
-    except _InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
+    except (_InputError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (SingularOmegaError, SingularOmega2Error) as e:
@@ -507,9 +510,6 @@ def main(argv=None) -> int:
     except HierMomentError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def entrypoint() -> None:

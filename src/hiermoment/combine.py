@@ -43,6 +43,12 @@ REFIT_FLOOR = 1e-8
 SCHEMES = ("semiweighted", "unweighted", "weighted")
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown weight scheme {scheme!r}; "
+                         "expected one of " + ", ".join(SCHEMES))
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Weight-scheme selector.
@@ -50,16 +56,17 @@ class WeightSpec:
     Schemes: ``unweighted`` (identity), ``weighted`` (group precision), and
     ``semiweighted`` (prior covariance guess ``sigma0``). The optimal weights
     for a true covariance and dispersion are semi-weighted at
-    ``sigma0 = sigma / phi``.
+    ``sigma0 = sigma / phi``; no other scheme takes a ``sigma0``.
     """
 
     scheme: str
     sigma0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown weight scheme {self.scheme!r}; "
-                             "expected one of " + ", ".join(SCHEMES))
+        _check_scheme(self.scheme)
+        if (self.sigma0 is None) == (self.scheme == "semiweighted"):
+            raise ValueError("the semiweighted scheme, and no other, takes "
+                             f"a sigma0 (scheme {self.scheme!r})")
 
     @classmethod
     def unweighted(cls) -> "WeightSpec":
@@ -249,7 +256,7 @@ class FitOptions:
     scheme: str = "semiweighted"
 
     def __post_init__(self):
-        WeightSpec(self.scheme)  # raises on an unknown scheme
+        _check_scheme(self.scheme)
 
 
 @dataclass(frozen=True)
@@ -267,7 +274,6 @@ class MomentFit:
     phi: float
     omega: np.ndarray
     omega2_min_eig: float
-    rho: int
     bias_B: np.ndarray
     projected: bool
     steps: int
@@ -323,7 +329,6 @@ def fit_moment(
         phi=phi,
         omega=omega * np.outer(xs, xs),
         omega2_min_eig=operator.min_eig,
-        rho=sset.rho,
         bias_B=bias / zz,
         projected=projected,
         steps=n_refits,

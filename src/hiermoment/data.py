@@ -246,10 +246,6 @@ class GroupedDataset:
     def n_obs(self) -> int:
         return self.y.shape[0]
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.layout.sizes
-
     @cached_property
     def groups(self) -> tuple[GroupData, ...]:
         """Per-group views of the columns, built on first use."""

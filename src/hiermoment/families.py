@@ -65,12 +65,12 @@ def expit(x):
 class Family:
     """Response family and its inverse link; both links are canonical.
 
-    ``dispersion`` holds the known value (1.0 for binomial-logit) and is None
-    when the dispersion must be estimated from data.
+    ``name`` is the family's :func:`get_family` key. ``dispersion`` holds
+    the known value (1.0 for logit) and is None when the dispersion must be
+    estimated from data.
     """
 
     name: str
-    dispersion_known: bool
     dispersion: float | None
 
     def inv_link(self, eta):
@@ -79,13 +79,10 @@ class Family:
         return expit(eta)
 
 
-GAUSSIAN = Family(name="gaussian", dispersion_known=False, dispersion=None)
-BINOMIAL_LOGIT = Family(name="binomial-logit", dispersion_known=True, dispersion=1.0)
+GAUSSIAN = Family(name="gaussian", dispersion=None)
+BINOMIAL_LOGIT = Family(name="logit", dispersion=1.0)
 
-_FAMILIES = {
-    "gaussian": GAUSSIAN,
-    "logit": BINOMIAL_LOGIT,
-}
+_FAMILIES = {f.name: f for f in (GAUSSIAN, BINOMIAL_LOGIT)}
 
 
 def get_family(name: str) -> Family:

@@ -240,7 +240,7 @@ def pool_dispersion(n, r, dispersion, family: Family) -> float:
     DispersionError
         Dispersion unknown and no group has n > r.
     """
-    if family.dispersion_known:
+    if family.dispersion is not None:
         return float(family.dispersion)
     dispersion = np.asarray(dispersion, dtype=float)
     has = ~np.isnan(dispersion)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import operator
 import time
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -403,9 +403,10 @@ def fit_local(fit: MomentFit) -> LocalFit:
 
 @dataclass(frozen=True)
 class StudyRow:
-    """Aggregated results for one (method, N) cell of a replicate study. A
-    ``local`` row is the per-group fits read from the moment fit's summaries:
-    its ``seconds_mean`` times only that step, and it fails where ``hier``
+    """Aggregated results for one (method, N) cell of a replicate study,
+    its fields in the order of :func:`study_table`'s columns. A ``local`` row
+    is the per-group fits read from the moment fit's summaries: its
+    ``seconds_mean`` times only that step, and it fails where ``hier``
     does."""
 
     method: str
@@ -421,11 +422,11 @@ class StudyRow:
     raneff_se: float
     pred_mean: float
     pred_se: float
+    fixed_median: float
+    cov_median: float
+    raneff_median: float
+    pred_median: float
     seconds_mean: float
-    fixed_median: float = float("nan")
-    cov_median: float = float("nan")
-    raneff_median: float = float("nan")
-    pred_median: float = float("nan")
 
 
 def _mean_se(values):
@@ -455,9 +456,15 @@ def run_study(
     (prediction always; fixed-effect loss for global). The local row is the
     per-group fits read from the one :func:`fit_moment` it shares with hier:
     it times only that step and fails wherever hier does. Failed fits are
-    counted and dropped from the aggregates. Deterministic given ``seed``;
-    an unknown method raises ``ValueError`` before any data are drawn.
+    counted and dropped from the aggregates. Deterministic given ``seed``.
+    A ``replicates`` that is not an integer raises ``TypeError``; fewer
+    than one replicate, no method or an unknown method raises
+    ``ValueError``; both before any data are drawn.
     """
+    replicates = _index("replicates", replicates)
+    if replicates < 1 or not methods:
+        raise ValueError("a study needs at least one replicate and one "
+                         f"method, got {replicates} and {tuple(methods)}")
     for method in methods:
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of "
@@ -520,16 +527,8 @@ def run_study(
 
 
 def study_table(rows: list[StudyRow]) -> str:
-    """Render study rows as tab-delimited text with a header."""
-    cols = [
-        "method", "n_obs", "n_groups", "replicates", "failures",
-        "fixed_mean", "fixed_se", "cov_mean", "cov_se",
-        "raneff_mean", "raneff_se", "pred_mean", "pred_se",
-        "fixed_median", "cov_median", "raneff_median", "pred_median",
-        "seconds_mean",
-    ]
-    lines = ["\t".join(cols)]
-    for r in rows:
-        lines.append("\t".join(repr(getattr(r, c)) if isinstance(getattr(r, c), float)
-                               else str(getattr(r, c)) for c in cols))
+    """Render study rows as tab-delimited text under a header of the
+    :class:`StudyRow` field names."""
+    lines = ["\t".join(f.name for f in fields(StudyRow))]
+    lines += ["\t".join(map(str, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"

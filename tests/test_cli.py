@@ -655,6 +655,79 @@ class TestErrorPaths:
         else:
             assert rc == 2 and f"{src}: line 7: " in out.err
 
+    @staticmethod
+    def _columns_csv(path, header, underscored=False):
+        """Four groups of five rows under ``header``, each cell set by its
+        column's name: ``g`` the group id, ``x``, ``z`` and ``y`` numbers,
+        ``w`` text. With ``underscored`` one ``y`` cell is ``1_0``, which
+        only the cell-by-cell reader accepts."""
+        rng = np.random.default_rng(41)
+        rows = []
+        for i in range(20):
+            cells = {"g": f"g{i % 4}", "w": "note",
+                     "x": repr(float(rng.choice([-1.0, 1.0]))),
+                     "z": repr(float(rng.choice([-1.0, 1.0]))),
+                     "y": repr(float(rng.normal()))}
+            rows.append([cells[name] for name in header])
+        if underscored:
+            rows[3][header.index("y")] = "1_0"
+        _write_csv(path, header, rows)
+
+    @pytest.mark.parametrize("underscored", [False, True],
+                             ids=["numpy", "cells"])
+    @pytest.mark.parametrize("header, col", [
+        (["g", "y", "x", "x", "z"], "x"),
+        (["g", "y", "x", "g", "z"], "g"),
+    ], ids=["fixed", "group"])
+    def test_fit_rejects_repeated_column(self, tmp_path, capsys, header, col,
+                                         underscored):
+        src, out = tmp_path / "d.csv", tmp_path / "o"
+        self._columns_csv(src, header, underscored)
+        rc = main(["fit", "--input", str(src), "--group-col", "g",
+                   "--response-col", "y", "--fixed-cols", "x",
+                   "--random-cols", "z", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: column {col!r} appears more than once in the "
+            "header\n")
+        assert not out.exists()
+
+    def test_predict_rejects_repeated_column(self, tmp_path, capsys):
+        src, new = tmp_path / "d.csv", tmp_path / "new.csv"
+        model, out = tmp_path / "fit.txt", tmp_path / "pred.csv"
+        self._columns_csv(src, ["g", "y", "x", "z"])
+        assert main(["fit", "--input", str(src), "--group-col", "g",
+                     "--response-col", "y", "--fixed-cols", "x",
+                     "--random-cols", "z", "--out", str(model)]) == 0
+        self._columns_csv(new, ["g", "x", "z", "z"])
+        rc = main(["predict", "--model", str(model), "--input", str(new),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {new}: column 'z' appears more than once in the header\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("underscored", [False, True],
+                             ids=["numpy", "cells"])
+    def test_unread_column_may_repeat(self, tmp_path, capsys, monkeypatch,
+                                      underscored):
+        """A column the command does not read may appear twice; the fit is
+        that of the file without it, read by numpy in one pass unless a
+        cell needs ``float()``."""
+        artifacts = []
+        for name, header in [("plain", ["g", "y", "x", "z"]),
+                             ("repeat", ["g", "w", "y", "x", "w", "z"])]:
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+            self._columns_csv(src, header, underscored)
+            if not underscored:
+                monkeypatch.setattr(cli, "_read_table", None)
+            assert main(["fit", "--input", str(src), "--group-col", "g",
+                         "--response-col", "y", "--fixed-cols", "x",
+                         "--random-cols", "z", "--out", str(out)]) == 0
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
+        assert capsys.readouterr().err == ""
+
     def test_aliased_design_exits_3_with_hint(self, tmp_path, capsys):
         rng = np.random.default_rng(97)
         rows = []
@@ -677,7 +750,7 @@ class TestErrorPaths:
     def test_all_zero_random_column_exits_3_with_hint(self, family, tmp_path,
                                                       capsys):
         ds, _ = gen_replicate(200, 4000, 2, 2, get_family(family), seed=3)
-        gids = np.repeat(ds.ids, ds.sizes)
+        gids = np.repeat(ds.ids, ds.layout.sizes)
         rows = [[f"g{g}", *map(repr, x.tolist()), repr(z), "0.0", repr(v)]
                 for g, x, z, v in zip(gids.tolist(), ds.X,
                                       ds.Z[:, 0].tolist(), ds.y.tolist())]
@@ -730,6 +803,22 @@ class TestSimulateCommand:
                    "--out", str(tmp_path / "x.tsv")])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--replicates", "0", "got 0 and ('hier', 'global', 'local')"),
+        ("--replicates", "-2", "got -2 and ('hier', 'global', 'local')"),
+        ("--methods", ",", "got 5 and ()"),
+    ], ids=["zero_replicates", "negative_replicates", "no_method"])
+    def test_empty_study_exits_2(self, tmp_path, capsys, flag, value,
+                                 message):
+        out = tmp_path / "s.tsv"
+        rc = main(["simulate", "--M", "6", "--N-grid", "200",
+                   flag, value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: a study needs at least one replicate and one method, "
+            f"{message}\n")
+        assert not out.exists()
 
     def test_bad_grid(self, tmp_path, capsys):
         rc = main(["simulate", "--N-grid", "12,x",

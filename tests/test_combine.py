@@ -117,6 +117,17 @@ class TestMakeWeights:
         with pytest.raises(ValueError, match="unknown weight scheme 'bogus'"):
             WeightSpec(scheme="bogus")
 
+    @pytest.mark.parametrize("scheme, sigma0", [
+        ("semiweighted", None),
+        ("unweighted", np.diag([1.0, -1.0])),
+        ("weighted", np.eye(2)),
+    ], ids=["semiweighted_without", "unweighted_with", "weighted_with"])
+    def test_sigma0_given_for_semiweighted_only(self, scheme, sigma0):
+        with pytest.raises(ValueError, match="the semiweighted scheme, and "
+                                             f"no other, takes a sigma0 "
+                                             f"\\(scheme '{scheme}'\\)"):
+            WeightSpec(scheme, sigma0=sigma0)
+
 
 def mixed_rank_dataset(rng):
     """p = q = 2 (k = 4) with singleton groups, groups of n < k rows, groups

@@ -173,7 +173,7 @@ def test_fit_predict_round_trip_matches_library(tmp_path_factory, ids,
     mu = np.empty(N + 1)
     mu[order] = np.concatenate(mu_g)
     unseen = np.empty(N + 1, dtype=bool)
-    unseen[order] = np.repeat(unseen_g, new.sizes)
+    unseen[order] = np.repeat(unseen_g, new.layout.sizes)
 
     with open(preds, newline="") as fh:
         header, *rows = list(csv.reader(fh))

@@ -133,7 +133,7 @@ class TestLayout:
         blocks.append(blocks[0])
         ds = GroupedDataset(blocks, p=2, q=3)
         assert ds.ids == tuple(g.group_id for g in blocks)
-        assert np.array_equal(ds.sizes, [g.n for g in blocks])
+        assert np.array_equal(ds.layout.sizes, [g.n for g in blocks])
         assert np.array_equal(ds.y, np.concatenate([g.y for g in blocks]))
         for view, g in zip(ds.groups, blocks):
             assert np.array_equal(view.X, g.X)
@@ -220,7 +220,7 @@ class TestChecks:
         ds = GroupedDataset.from_long(y, ones, ones,
                                       np.array(["1", "1", "2", "a"]))
         assert ds.ids == ("1", "2", "a")
-        assert np.array_equal(ds.sizes, [2, 1, 1])
+        assert np.array_equal(ds.layout.sizes, [2, 1, 1])
 
     def test_id_ending_in_nul_rejected(self):
         """numpy's fixed-width strings drop trailing NULs, which would merge

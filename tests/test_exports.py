@@ -47,7 +47,10 @@ def test_removed_knobs_and_fields():
     singularity threshold of the covariance solve are constants, not
     parameters; the Firth fit takes each group's right vectors, not its
     rank, and carries its information, not a deviance or per-row fitted
-    means; and a family has no variance function."""
+    means; a family has no variance function and no flag that repeats
+    ``dispersion is None``; and a fit's rank sum and a dataset's group
+    sizes are read where they are kept, ``summary_set.rho`` and
+    ``layout.sizes``."""
     def params(f):
         return list(inspect.signature(f).parameters)
 
@@ -62,6 +65,10 @@ def test_removed_knobs_and_fields():
     assert [f.name for f in dataclasses.fields(families.GlmFit)] == [
         "coef", "information", "converged", "iterations"]
     assert not hasattr(families.Family, "variance")
+    assert [f.name for f in dataclasses.fields(families.Family)] == [
+        "name", "dispersion"]
+    assert "rho" not in {f.name for f in dataclasses.fields(combine.MomentFit)}
+    assert not hasattr(data.GroupedDataset, "sizes")
 
 
 def _load_bench(name):

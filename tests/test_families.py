@@ -80,9 +80,13 @@ class TestFamilyBasics:
         )
 
     def test_dispersion_flags(self):
-        assert BINOMIAL_LOGIT.dispersion_known
         assert BINOMIAL_LOGIT.dispersion == 1.0
-        assert not GAUSSIAN.dispersion_known
+        assert GAUSSIAN.dispersion is None
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
+                             ids=["gaussian", "logit"])
+    def test_name_is_lookup_key(self, family):
+        assert get_family(family.name) is family
 
 
 class TestExpit:
@@ -390,10 +394,10 @@ class TestFrameOracle:
         ds, _ = gen_replicate(300, 1500, 3, 3, BINOMIAL_LOGIT, seed=4)
         X, Z = ds.X, ds.X[:, :2] if aliased else ds.Z
         ds = data.GroupedDataset.from_long(ds.y, X, Z,
-                                           np.repeat(ds.ids, ds.sizes))
+                                           np.repeat(ds.ids, ds.layout.sizes))
         k = ds.p + ds.q
         columns, skipped = groups.summarize_groups(ds, BINOMIAL_LOGIT)
-        assert (ds.sizes < k).sum() > 100 and not skipped
+        assert (ds.layout.sizes < k).sum() > 100 and not skipped
         # With Z = X[:, :2] every group's [X Z] is rank deficient.
         assert (columns["r"] < k).all() if aliased \
             else (columns["r"] == k).any()

@@ -41,7 +41,7 @@ def _stub_fit(beta, sigma, phi=1.0):
     record = ScaleRecord(x_scale=np.ones(p), z_scale=np.ones(q))
     return MomentFit(
         beta=beta, sigma_raw=sigma, sigma=sigma, phi=phi,
-        omega=np.eye(p), omega2_min_eig=1.0, rho=0, bias_B=np.zeros((q, q)),
+        omega=np.eye(p), omega2_min_eig=1.0, bias_B=np.zeros((q, q)),
         projected=False, steps=0, scale_record=record, summary_set=None,
         beta_scaled=beta, sigma_scaled=sigma,
     )
@@ -544,7 +544,7 @@ class TestBaselines:
         ds = GroupedDataset.from_long(
             np.append(ds0.y, 1.0), np.vstack([ds0.X, [[1.0]]]),
             np.vstack([ds0.Z, [[1.0]]]),
-            np.append(np.repeat(ds0.ids, ds0.sizes), 99))
+            np.append(np.repeat(ds0.ids, ds0.layout.sizes), 99))
         lfit = fit_local(fit_moment(ds, BINOMIAL_LOGIT))
         coef = lfit.coef[lfit.ids.index(99)]
         assert np.all(np.isfinite(coef))
@@ -595,7 +595,7 @@ class TestLocalReference:
         ds = GroupedDataset.from_long(
             ds0.y, np.hstack([one, ds0.X * [1e3, 1e-2, 7]]),
             np.hstack([one, ds0.Z * [1e-2, 50, 1]]),
-            np.repeat(ds0.ids, ds0.sizes))
+            np.repeat(ds0.ids, ds0.layout.sizes))
         lfit = fit_local(fit_moment(ds, family))
         ref = self._reference(ds, family)
         assert lfit.ids == ref.ids
@@ -658,6 +658,22 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="'bogus'"):
             run_study([200], M=10, p=2, q=2, replicates=1, family=GAUSSIAN,
                       methods=("hier", "bogus"), seed=9)
+
+    @pytest.mark.parametrize("replicates, methods, error, match", [
+        (0, ("hier",), ValueError, r"one method, got 0 and \('hier',\)"),
+        (-2, ("hier",), ValueError, r"one method, got -2 and \('hier',\)"),
+        (2.5, ("hier",), TypeError, "replicates must be an integer"),
+        (1, (), ValueError, r"one method, got 1 and \(\)"),
+    ], ids=["zero", "negative", "float", "no_method"])
+    def test_empty_study_raises_before_any_data(self, monkeypatch, replicates,
+                                                methods, error, match):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulate, "gen_replicate", no_data)
+        with pytest.raises(error, match=match):
+            run_study([200], M=10, p=2, q=2, replicates=replicates,
+                      family=GAUSSIAN, methods=methods, seed=9)
 
     def test_one_summary_pass_per_replicate(self, monkeypatch):
         """hier and local share one stacked SVD of each replicate's groups;
