@@ -187,10 +187,9 @@ def _read_columns(path, select):
     text columns (the group ids) as object arrays of str, none of which
     ends in a NUL character. A wanted column that the header names more
     than once is an error; other columns may repeat. One numpy pass reads
-    the usual file. Whatever
-    it refuses is read again cell by cell, which raises the located error,
-    or returns the values where ``float()`` accepts a cell that numpy does
-    not (such as ``1_0``).
+    the usual file. Whatever it refuses is read again cell by cell, which
+    raises the located error, or returns the values where ``float()``
+    accepts a cell that numpy does not (such as ``1_0``).
     """
     parsed = _parse_columns(path, select)
     if parsed is not None:
