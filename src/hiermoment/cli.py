@@ -469,8 +469,6 @@ def _cmd_simulate(args) -> int:
         n_grid = [int(v) for v in _split_cols(args.N_grid)]
     except ValueError:
         raise _InputError(f"--N-grid: cannot parse {args.N_grid!r}") from None
-    if not n_grid:
-        raise _InputError("--N-grid is empty")
     methods = tuple(_split_cols(args.methods))
     options = FitOptions(scheme=args.weights)
     rows = run_study(

@@ -56,7 +56,9 @@ class WeightSpec:
     Schemes: ``unweighted`` (identity), ``weighted`` (group precision), and
     ``semiweighted`` (prior covariance guess ``sigma0``). The optimal weights
     for a true covariance and dispersion are semi-weighted at
-    ``sigma0 = sigma / phi``; no other scheme takes a ``sigma0``.
+    ``sigma0 = sigma / phi``; no other scheme takes a ``sigma0``. A
+    ``sigma0`` must be symmetric (to 1e-10) and positive definite; the spec
+    keeps its symmetric part.
     """
 
     scheme: str
@@ -67,6 +69,15 @@ class WeightSpec:
         if (self.sigma0 is None) == (self.scheme == "semiweighted"):
             raise ValueError("the semiweighted scheme, and no other, takes "
                              f"a sigma0 (scheme {self.scheme!r})")
+        if self.sigma0 is None:
+            return
+        sigma0 = np.asarray(self.sigma0, dtype=float)
+        if not np.allclose(sigma0, sigma0.T, atol=1e-10):
+            raise ValueError("sigma0 must be symmetric")
+        sigma0 = sym(sigma0)
+        if np.linalg.eigvalsh(sigma0)[0] <= 0.0:
+            raise ValueError("sigma0 must be positive definite")
+        object.__setattr__(self, "sigma0", sigma0)
 
     @classmethod
     def unweighted(cls) -> "WeightSpec":
@@ -78,19 +89,14 @@ class WeightSpec:
 
     @classmethod
     def semi_weighted(cls, sigma0: np.ndarray) -> "WeightSpec":
-        sigma0 = np.asarray(sigma0, dtype=float)
-        if not np.allclose(sigma0, sigma0.T, atol=1e-10):
-            raise ValueError("sigma0 must be symmetric")
-        if np.linalg.eigvalsh(sym(sigma0))[0] <= 0.0:
-            raise ValueError("sigma0 must be positive definite")
-        return cls(scheme="semiweighted", sigma0=sym(sigma0))
+        return cls(scheme="semiweighted", sigma0=sigma0)
 
     @classmethod
     def optimal(cls, sigma: np.ndarray, phi: float) -> "WeightSpec":
         if phi <= 0.0:
             raise ValueError("optimal weights need phi > 0")
-        sigma = np.asarray(sigma, dtype=float)
-        return cls(scheme="semiweighted", sigma0=sym(sigma) / float(phi))
+        return cls(scheme="semiweighted",
+                   sigma0=np.asarray(sigma, dtype=float) / float(phi))
 
 
 def make_weights(summary_set: SummarySet, spec: WeightSpec) -> np.ndarray:

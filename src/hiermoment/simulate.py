@@ -24,7 +24,6 @@ __all__ = [
     "StudyRow",
     "gen_replicate",
     "losses",
-    "GlobalFit",
     "fit_global",
     "LocalFit",
     "fit_local",
@@ -344,31 +343,20 @@ def losses(
                       pred_loss=pred)
 
 
-@dataclass(frozen=True)
-class GlobalFit:
-    """Single pooled coefficient vector over the combined [X Z] columns."""
-
-    coef: np.ndarray
-
-    def predict(self, X, Z, family: Family) -> np.ndarray:
-        return family.inv_link(np.hstack([X, Z]) @ self.coef)
-
-
-def fit_global(dataset: GroupedDataset, family: Family) -> GlobalFit:
-    """Pooled GLM ignoring group structure: the summary of all rows taken
-    as one group (see :func:`hiermoment.groups.summarize_groups`), whose
-    compact SVD reduces the combined [X Z] design (the fixed and random
-    designs may share columns). The coefficient is the least-squares fit,
-    or the Firth-penalized one for logit, ``V @ theta``. Raises the
-    :class:`HierMomentError` for which that group was skipped.
-    """
+def fit_global(dataset: GroupedDataset, family: Family) -> np.ndarray:
+    """Pooled GLM ignoring group structure: the ``(p + q,)`` coefficient of
+    the combined [X Z] columns (which X and Z may share), ``V @ theta`` of
+    the summary of all rows taken as one group (see
+    :func:`hiermoment.groups.summarize_groups`): least squares, or Firth
+    for logit. Raises the :class:`HierMomentError` for which that group
+    was skipped."""
     pooled = GroupedDataset._from_columns(
         dataset.y, dataset.X, dataset.Z, (0,),
         GroupLayout([0, dataset.n_obs]), dataset.p, dataset.q)
     columns, skipped = summarize_groups(pooled, family)
     if skipped:
         raise skipped[0][1]
-    return GlobalFit(coef=columns["V"][0] @ columns["theta"][0])
+    return columns["V"][0] @ columns["theta"][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +366,6 @@ class LocalFit:
 
     ids: tuple
     coef: np.ndarray
-    failed: tuple = ()
 
     def predict(self, dataset: GroupedDataset, family: Family) -> np.ndarray:
         """Predicted means over the long rows of ``dataset``; a group
@@ -391,14 +378,14 @@ class LocalFit:
 def fit_local(fit: MomentFit) -> LocalFit:
     """Each group's own fit (least squares, or Firth for logit), read from
     the moment fit's summaries: ``[V1_i; V2_i] @ theta_i`` over the column
-    scales, as both fits are equivariant under column scaling. Groups the
-    fit skipped are ``failed`` and predict through a zero coefficient."""
+    scales, as both fits are equivariant under column scaling. The groups
+    the fit skipped, ``fit.summary_set.skipped``, have no row and predict
+    through a zero coefficient."""
     sset, record = fit.summary_set, fit.scale_record
     V = np.concatenate([sset.V1, sset.V2], axis=1)
     coef = (V @ sset.theta[:, :, None])[:, :, 0]
     coef /= np.concatenate([record.x_scale, record.z_scale])
-    return LocalFit(sset.ids, coef,
-                    failed=tuple(gid for gid, _ in sset.skipped))
+    return LocalFit(sset.ids, coef)
 
 
 @dataclass(frozen=True)
@@ -455,13 +442,15 @@ def run_study(
     losses; the global and local baselines report the losses they define
     (prediction always; fixed-effect loss for global). The local row is the
     per-group fits read from the one :func:`fit_moment` it shares with hier:
-    it times only that step and fails wherever hier does. Failed fits are
-    counted and dropped from the aggregates. Deterministic given ``seed``.
-    A ``replicates`` that is not an integer raises ``TypeError``; fewer
-    than one replicate, no method or an unknown method raises
-    ``ValueError``; both before any data are drawn.
+    it times only that step and fails wherever hier does. A replicate that
+    leaves a method no record is one of its ``failures``. Deterministic
+    given ``seed``. A non-integer ``replicates`` or N raises ``TypeError``;
+    fewer than one replicate, no method, an unknown or repeated method, an
+    empty grid or an N below 1 raises ``ValueError``; all before any data
+    are drawn.
     """
     replicates = _index("replicates", replicates)
+    n_grid = [_index("N", N) for N in n_grid]
     if replicates < 1 or not methods:
         raise ValueError("a study needs at least one replicate and one "
                          f"method, got {replicates} and {tuple(methods)}")
@@ -469,12 +458,16 @@ def run_study(
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of "
                              f"{', '.join(_METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError("a study names each method once, got "
+                         f"{tuple(methods)}")
+    if not n_grid or min(n_grid) < 1:
+        raise ValueError(f"a study needs a grid of N >= 1, got {n_grid}")
     base = _entropy(seed)
     nan = float("nan")
     rows = []
     for i_n, N in enumerate(n_grid):
-        per_method = {m: [] for m in methods}
-        fail = {m: 0 for m in methods}
+        records = {m: [] for m in methods}
         for rep in range(replicates):
             dataset, truth = gen_replicate(M, N, p, q, family,
                                            seed=(*base, i_n, rep))
@@ -484,12 +477,10 @@ def run_study(
                 with suppress(HierMomentError):
                     fit = fit_moment(dataset, family, options)
                 fit_s = time.perf_counter() - t0
-            for method in methods:
-                if fit is None and method != "global":
-                    fail[method] += 1
-                    continue
-                try:
-                    t0 = time.perf_counter()
+            # hier and local have no record where the moment fit failed.
+            for method in (m for m in methods if fit or m == "global"):
+                t0 = time.perf_counter()
+                with suppress(HierMomentError):
                     if method == "hier":
                         post = posterior_set(fit)
                         elapsed = fit_s + time.perf_counter() - t0
@@ -497,31 +488,27 @@ def run_study(
                                              dataset), seconds=elapsed)
                     else:
                         if method == "global":
-                            gfit = fit_global(dataset, family)
+                            coef = fit_global(dataset, family)
                             elapsed = time.perf_counter() - t0
-                            fixed = float(np.sum(
-                                (truth.beta - gfit.coef[:p]) ** 2))
-                            mu_hat = gfit.predict(dataset.X, dataset.Z, family)
+                            fixed = float(np.sum((truth.beta - coef[:p]) ** 2))
+                            mu_hat = family.inv_link(
+                                np.hstack([dataset.X, dataset.Z]) @ coef)
                         else:
                             lfit = fit_local(fit)
                             elapsed = time.perf_counter() - t0
                             fixed, mu_hat = nan, lfit.predict(dataset, family)
                         rec = LossRecord(fixed, nan, nan, _pred_loss(
                             truth, mu_hat, family), elapsed)
-                except HierMomentError:
-                    fail[method] += 1
-                    continue
-                per_method[method].append(rec)
-        for method in methods:
-            recs = per_method[method]
+                    records[method].append(rec)
+        for method, recs in records.items():
             cells = {}
             for loss in ("fixed", "cov", "raneff", "pred"):
                 stats = _mean_se([getattr(r, f"{loss}_loss") for r in recs])
                 cells.update(zip((f"{loss}_mean", f"{loss}_se",
                                   f"{loss}_median"), stats))
             rows.append(StudyRow(
-                method=method, n_obs=int(N), n_groups=M,
-                replicates=len(recs), failures=fail[method],
+                method=method, n_obs=N, n_groups=M, replicates=len(recs),
+                failures=replicates - len(recs),
                 seconds_mean=_mean_se([r.seconds for r in recs])[0], **cells))
     return rows
 

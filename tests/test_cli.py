@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import hiermoment
-from hiermoment import cli
+from hiermoment import cli, simulate
 from hiermoment.cli import main
 from hiermoment.combine import FitOptions, fit_moment
 from hiermoment.data import GroupedDataset
@@ -818,6 +818,27 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             "error: a study needs at least one replicate and one method, "
             f"{message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--methods", "hier,hier",
+         "a study names each method once, got ('hier', 'hier')"),
+        ("--N-grid", "", "a study needs a grid of N >= 1, got []"),
+        ("--N-grid", "20000,0", "a study needs a grid of N >= 1, "
+                                "got [20000, 0]"),
+    ], ids=["repeated_method", "empty_grid", "zero_N"])
+    def test_bad_study_exits_2_before_any_draw(self, tmp_path, capsys,
+                                               monkeypatch, flag, value,
+                                               message):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulate, "gen_replicate", no_data)
+        out = tmp_path / "s.tsv"
+        rc = main(["simulate", "--M", "20", "--N-grid", "400",
+                   "--replicates", "1", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_bad_grid(self, tmp_path, capsys):

@@ -117,6 +117,25 @@ class TestMakeWeights:
         with pytest.raises(ValueError, match="unknown weight scheme 'bogus'"):
             WeightSpec(scheme="bogus")
 
+    @pytest.mark.parametrize("build", [
+        lambda s: WeightSpec("semiweighted", sigma0=s),
+        WeightSpec.semi_weighted,
+        lambda s: WeightSpec.optimal(s, 1.0),
+    ], ids=["constructor", "semi_weighted", "optimal"])
+    def test_sigma0_checked_by_every_constructor(self, build):
+        """An asymmetric or indefinite guess is refused however the spec is
+        built, and the spec keeps the symmetric part of what it is given."""
+        with pytest.raises(ValueError, match="sigma0 must be symmetric"):
+            build(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError,
+                           match="sigma0 must be positive definite"):
+            build(np.diag([1.0, -1.0]))
+        spec = build([[2.0, 0.5], [0.5 + 1e-12, 1.0]])
+        assert spec.sigma0.dtype == float
+        assert np.array_equal(spec.sigma0, spec.sigma0.T)
+        np.testing.assert_allclose(spec.sigma0, [[2.0, 0.5], [0.5, 1.0]],
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("scheme, sigma0", [
         ("semiweighted", None),
         ("unweighted", np.diag([1.0, -1.0])),

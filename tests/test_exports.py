@@ -15,14 +15,14 @@ import pkgutil
 import pytest
 
 import hiermoment
-from hiermoment import cli, combine, data, families, groups, linalg
+from hiermoment import cli, combine, data, families, groups, linalg, simulate
 
 MODULES = ["hiermoment"] + [
     f"hiermoment.{m.name}" for m in pkgutil.iter_modules(hiermoment.__path__)]
 
 REMOVED = ("predict_mean", "misclass_by_group_size", "summarize_group",
            "_least_squares", "_LOOP_KEYS", "_Stack", "_grouped_dot",
-           "unscaled_precision", "_clip_mu")
+           "unscaled_precision", "_clip_mu", "GlobalFit")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,7 +50,8 @@ def test_removed_knobs_and_fields():
     means; a family has no variance function and no flag that repeats
     ``dispersion is None``; and a fit's rank sum and a dataset's group
     sizes are read where they are kept, ``summary_set.rho`` and
-    ``layout.sizes``."""
+    ``layout.sizes``, as a local fit's skipped groups are read in the
+    moment fit's ``summary_set.skipped``."""
     def params(f):
         return list(inspect.signature(f).parameters)
 
@@ -69,6 +70,8 @@ def test_removed_knobs_and_fields():
         "name", "dispersion"]
     assert "rho" not in {f.name for f in dataclasses.fields(combine.MomentFit)}
     assert not hasattr(data.GroupedDataset, "sizes")
+    assert [f.name for f in dataclasses.fields(simulate.LocalFit)] == [
+        "ids", "coef"]
 
 
 def _load_bench(name):

@@ -451,17 +451,17 @@ class TestLosses:
 class TestBaselines:
     def test_global_gaussian_matches_stacked_least_squares(self):
         ds, _ = gen_replicate(6, 90, 2, 2, GAUSSIAN, seed=37)
-        gfit = fit_global(ds, GAUSSIAN)
+        coef = fit_global(ds, GAUSSIAN)
         X = np.vstack([g.X for g in ds.groups])
         Z = np.vstack([g.Z for g in ds.groups])
         y = np.concatenate([g.y for g in ds.groups])
         F = np.hstack([X, Z])
         ref, *_ = np.linalg.lstsq(F, y, rcond=None)
-        np.testing.assert_allclose(gfit.coef, ref, atol=1e-10)
-        mu = gfit.predict(ds.groups[0].X, ds.groups[0].Z, GAUSSIAN)
-        np.testing.assert_allclose(
-            mu, np.hstack([ds.groups[0].X, ds.groups[0].Z]) @ ref, atol=1e-10
-        )
+        assert coef.shape == (4,)
+        np.testing.assert_allclose(coef, ref, atol=1e-10)
+        F0 = np.hstack([ds.groups[0].X, ds.groups[0].Z])
+        np.testing.assert_allclose(GAUSSIAN.inv_link(F0 @ coef), F0 @ ref,
+                                   atol=1e-10)
 
     def test_global_noiseless_homogeneous(self):
         rng = np.random.default_rng(41)
@@ -476,8 +476,8 @@ class TestBaselines:
             ids.extend([i] * 8)
         ds = GroupedDataset.from_long(np.concatenate(ys), np.vstack(Xs),
                                       np.vstack(Zs), ids)
-        gfit = fit_global(ds, GAUSSIAN)
-        np.testing.assert_allclose(gfit.coef, [1.0, -2.0, 0.0], atol=1e-10)
+        coef = fit_global(ds, GAUSSIAN)
+        np.testing.assert_allclose(coef, [1.0, -2.0, 0.0], atol=1e-10)
 
     def test_global_handles_shared_columns(self):
         """X = Z makes the stacked design rank deficient; the reduced fit
@@ -486,9 +486,10 @@ class TestBaselines:
         groups = tuple(type(g)(group_id=g.group_id, y=g.y, X=g.X, Z=g.X)
                        for g in ds0.groups)
         ds = GroupedDataset(groups=groups, p=2, q=2)
-        gfit = fit_global(ds, BINOMIAL_LOGIT)
-        assert np.all(np.isfinite(gfit.coef))
-        mu = gfit.predict(ds.groups[0].X, ds.groups[0].Z, BINOMIAL_LOGIT)
+        coef = fit_global(ds, BINOMIAL_LOGIT)
+        assert np.all(np.isfinite(coef))
+        mu = BINOMIAL_LOGIT.inv_link(
+            np.hstack([ds.groups[0].X, ds.groups[0].Z]) @ coef)
         assert np.all((mu > 0) & (mu < 1))
 
     def test_global_logit_matches_direct_firth_fit(self):
@@ -497,8 +498,8 @@ class TestBaselines:
         the Firth fit of y on [X Z] itself."""
         ds, _ = gen_replicate(20, 2000, 3, 3, BINOMIAL_LOGIT, seed=5)
         ref = fit_glm(ds.y, np.hstack([ds.X, ds.Z]), BINOMIAL_LOGIT)
-        np.testing.assert_allclose(fit_global(ds, BINOMIAL_LOGIT).coef,
-                                   ref.coef, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(fit_global(ds, BINOMIAL_LOGIT), ref.coef,
+                                   rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
                              ids=["gaussian", "logit"])
@@ -533,8 +534,9 @@ class TestBaselines:
         u = np.repeat(rng.normal(size=(M, 2)), n, axis=0)
         eta = X @ np.array([1.0, 0.5]) + np.sum(Z * u, axis=1)
         ds = GroupedDataset.from_long(eta, X, Z, np.repeat(np.arange(M), n))
-        lfit = fit_local(fit_moment(ds, GAUSSIAN))
-        assert lfit.failed == ()
+        fit = fit_moment(ds, GAUSSIAN)
+        lfit = fit_local(fit)
+        assert fit.summary_set.skipped == ()
         np.testing.assert_allclose(lfit.predict(ds, GAUSSIAN), eta,
                                    atol=1e-10)
 
@@ -551,8 +553,8 @@ class TestBaselines:
         assert np.linalg.norm(coef) < 20
 
     def test_local_zero_rank_group_predicts_through_zero(self):
-        """A group with an all-zero design has no coefficient: fit_local
-        lists it as failed and its rows predict inv_link(0). Every other
+        """A group with an all-zero design has no coefficient: the fit
+        lists it as skipped and its rows predict inv_link(0). Every other
         group predicts through its own row of coef, looked up by id (the
         blocks here are in descending id order)."""
         ds0, _ = gen_replicate(6, 120, 2, 2, GAUSSIAN, seed=67)
@@ -562,8 +564,9 @@ class TestBaselines:
                     X=g.X * (g.group_id != zero), Z=g.Z * (g.group_id != zero))
             for g in reversed(ds0.groups))
         ds = GroupedDataset(groups=groups, p=2, q=2)
-        lfit = fit_local(fit_moment(ds, GAUSSIAN))
-        assert lfit.failed == (zero,)
+        fit = fit_moment(ds, GAUSSIAN)
+        lfit = fit_local(fit)
+        assert [gid for gid, _ in fit.summary_set.skipped] == [zero]
         assert lfit.ids == tuple(i for i in ds0.ids if i != zero)
         mu = ds.layout.split(lfit.predict(ds, GAUSSIAN))
         for g, m in zip(ds.groups, mu):
@@ -578,14 +581,19 @@ class TestBaselines:
 class TestLocalReference:
     """fit_local reads the moment fit's standardized-frame summaries. The
     reference summarizes the dataset as given, unstandardized, and maps
-    each group's fit back through its own V."""
+    each group's fit back through its own V; it also returns the ids of
+    the groups it skipped."""
 
     @staticmethod
     def _reference(ds, family):
         columns, skipped = summarize_groups(ds, family)
         coef = (columns["V"] @ columns["theta"][:, :, None])[:, :, 0]
-        return LocalFit(columns["ids"], coef,
-                        failed=tuple(gid for gid, _ in skipped))
+        return (LocalFit(columns["ids"], coef),
+                [gid for gid, _ in skipped])
+
+    @staticmethod
+    def _skipped(fit):
+        return [gid for gid, _ in fit.summary_set.skipped]
 
     @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
                              ids=["gaussian", "logit"])
@@ -596,10 +604,11 @@ class TestLocalReference:
             ds0.y, np.hstack([one, ds0.X * [1e3, 1e-2, 7]]),
             np.hstack([one, ds0.Z * [1e-2, 50, 1]]),
             np.repeat(ds0.ids, ds0.layout.sizes))
-        lfit = fit_local(fit_moment(ds, family))
-        ref = self._reference(ds, family)
+        fit = fit_moment(ds, family)
+        lfit = fit_local(fit)
+        ref, ref_skipped = self._reference(ds, family)
         assert lfit.ids == ref.ids
-        assert lfit.failed == ref.failed
+        assert self._skipped(fit) == ref_skipped
         np.testing.assert_allclose(lfit.predict(ds, family),
                                    ref.predict(ds, family), rtol=0, atol=1e-7)
 
@@ -609,10 +618,11 @@ class TestLocalReference:
         """gen_replicate's +/-1 columns have unit RMS, so standardization
         leaves them as they are."""
         ds, _ = gen_replicate(300, 9000, 3, 3, family, seed=11)
-        lfit = fit_local(fit_moment(ds, family))
-        ref = self._reference(ds, family)
+        fit = fit_moment(ds, family)
+        lfit = fit_local(fit)
+        ref, ref_skipped = self._reference(ds, family)
         assert lfit.ids == ref.ids
-        assert lfit.failed == ref.failed
+        assert self._skipped(fit) == ref_skipped
         assert np.array_equal(lfit.coef, ref.coef)
 
 
@@ -675,6 +685,34 @@ class TestRunStudy:
             run_study([200], M=10, p=2, q=2, replicates=replicates,
                       family=GAUSSIAN, methods=methods, seed=9)
 
+    def test_repeated_method_raises_before_any_data(self, monkeypatch):
+        """Each method's row counts its own replicates: a method named twice
+        would count every replicate twice."""
+        def no_data(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulate, "gen_replicate", no_data)
+        with pytest.raises(ValueError, match=r"each method once, got "
+                                             r"\('hier', 'hier'\)"):
+            run_study([200], M=10, p=2, q=2, replicates=1, family=GAUSSIAN,
+                      methods=("hier", "hier"), seed=9)
+
+    @pytest.mark.parametrize("n_grid, error, match", [
+        ([], ValueError, r"grid of N >= 1, got \[\]"),
+        ([20000, 0], ValueError, r"grid of N >= 1, got \[20000, 0\]"),
+        ([200, -5], ValueError, r"grid of N >= 1, got \[200, -5\]"),
+        ([200, 2.5], TypeError, "N must be an integer, got 2.5"),
+    ], ids=["empty", "zero", "negative", "float"])
+    def test_bad_grid_raises_before_any_data(self, monkeypatch, n_grid, error,
+                                             match):
+        def no_data(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulate, "gen_replicate", no_data)
+        with pytest.raises(error, match=match):
+            run_study(n_grid, M=10, p=2, q=2, replicates=1, family=GAUSSIAN,
+                      seed=9)
+
     def test_one_summary_pass_per_replicate(self, monkeypatch):
         """hier and local share one stacked SVD of each replicate's groups;
         global summarizes its one pooled group."""
@@ -702,6 +740,37 @@ class TestRunStudy:
         fails = {r.method: (r.replicates, r.failures) for r in rows}
         assert fails == {"hier": (0, 2), "global": (2, 0), "local": (0, 2)}
 
+    def test_failed_global_fit_counts_once(self, monkeypatch):
+        """A global fit that fails on one replicate of two leaves that
+        replicate out of the global row and counts it as the row's one
+        failure; the hier and local rows are those of a run without it."""
+        def cells(rows):
+            return {r.method: repr(replace(r, seconds_mean=0.0)) for r in rows}
+
+        def study():
+            return run_study([200], M=10, p=2, q=2, replicates=2,
+                             family=GAUSSIAN, seed=9)
+
+        clean = cells(study())
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ZeroRankError("stub")
+            return fit_global(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "fit_global", fails_once)
+        rows = study()
+        assert len(calls) == 2
+        by_method = {r.method: r for r in rows}
+        assert (by_method["global"].replicates,
+                by_method["global"].failures) == (1, 1)
+        assert math.isfinite(by_method["global"].pred_mean)
+        changed = cells(rows)
+        assert changed.pop("global") != clean.pop("global")
+        assert changed == clean
+
     @pytest.mark.parametrize("family", [GAUSSIAN, BINOMIAL_LOGIT],
                              ids=["gaussian", "logit"])
     def test_method_order_does_not_change_rows(self, family):
@@ -723,8 +792,8 @@ class TestEndToEnd:
         post = posterior_set(fit)
         rec = losses(truth, fit, post, GAUSSIAN, ds)
 
-        gfit = fit_global(ds, GAUSSIAN)
-        mu_g = gfit.predict(ds.X, ds.Z, GAUSSIAN)
+        coef = fit_global(ds, GAUSSIAN)
+        mu_g = GAUSSIAN.inv_link(np.hstack([ds.X, ds.Z]) @ coef)
         mu_l = fit_local(fit).predict(ds, GAUSSIAN)
         pred_g = _pred_loss(truth, mu_g, GAUSSIAN)
         pred_l = _pred_loss(truth, mu_l, GAUSSIAN)
